@@ -5,6 +5,9 @@ A family ``M`` is *omega-closed* when ``F1 & shift(F2, -n)`` stays inside
 over ``n`` is finite in disguise: once ``n`` passes the threshold of
 ``F2``, the down-shift only depends on ``n`` modulo the period of ``F2``,
 so ``n < threshold + period`` already produces every possible value.
+
+The same periodicity makes closing cheap: :func:`close` only ever cuts
+members with the finitely many down-shifts of the generators.
 """
 
 from __future__ import annotations
@@ -132,35 +135,30 @@ def is_omega_closed(members: Iterable[EpSet]) -> Tuple[bool, Optional[Witness]]:
 def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family:
     """Smallest omega-closed family containing ``generators``.
 
-    Worklist fixpoint over ``F1 & shift(F2, -n)``.  Every new set is an
-    intersection of down-shifted generators, so its period divides the lcm
-    of the generator periods and its threshold never grows: the fixpoint is
-    finite.  ``cap`` guards against combinatorial blow-up; exceeding it
-    raises :class:`ClosureDiverged` rather than truncating silently.
+    Worklist over members: each one is cut by every generator down-shift in
+    ``D = {shift(g, -n) : g in G, n < threshold(g) + period(g)}``.  This is
+    exactly the closure.  A cut ``F & shift(g, -n)`` of a member lies in the
+    closure by definition, so every member is some ``g & d1 & ... & dk``
+    with each ``di`` in ``D``.  A down-shift distributes over ``&``, and a
+    down-shift of a down-shift of ``g`` is again one of ``g``, already in
+    ``D`` by periodicity; so ``F1 & shift(F2, -n)`` of two such members is
+    again of that form, and the cuts reach it.
+
+    Raises :class:`ClosureDiverged` iff the closure has more than ``cap``
+    members, rather than truncating silently.
     """
-    members = set()
-    queue = []
-    for g in generators:
-        if g not in members:
-            members.add(g)
-            queue.append(g)
+    members = set(generators)
     if not members:
         raise ValueError("close() needs at least one generator")
-
-    def consider(f: EpSet):
-        if f not in members:
-            members.add(f)
-            if len(members) > cap:
-                raise ClosureDiverged(
-                    f"closure exceeded {cap} members", cap=cap)
-            queue.append(f)
-
-    while queue:
+    cuts = {shift(g, -n) for g in members for n in range(_shift_span(g))}
+    queue = list(members)
+    while len(members) <= cap:
+        if not queue:
+            return Family(members, check=False)
         f = queue.pop()
-        snapshot = tuple(members)
-        for g in snapshot:
-            for n in range(_shift_span(f)):
-                consider(intersect(g, shift(f, -n)))
-            for n in range(_shift_span(g)):
-                consider(intersect(f, shift(g, -n)))
-    return Family(members, check=False)
+        for d in cuts:
+            m = intersect(f, d)
+            if m not in members:
+                members.add(m)
+                queue.append(m)
+    raise ClosureDiverged(f"closure exceeded {cap} members", cap=cap)

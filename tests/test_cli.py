@@ -177,3 +177,7 @@ def test_closure_cap_flag(capsys):
                         "closure{ {0,1,4} }")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "closure_diverged"
+    # the generators alone already exceed the cap
+    code, out = run_cli(capsys, "--max-family", "1", "closure{ {}; [0) }")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "closure_diverged"

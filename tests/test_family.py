@@ -10,6 +10,19 @@ from epshift.omega_sets import EMPTY, EpSet, intersect, shift
 from conftest import random_epset
 
 
+def pairwise_closure(gens):
+    """The definition read literally: add every ``F1 & shift(F2, -n)``
+    until nothing changes.  Slow, so only for small families."""
+    members = set(gens)
+    while True:
+        new = {intersect(f1, shift(f2, -n))
+               for f1 in members for f2 in members
+               for n in range(f2.threshold + f2.period)} - members
+        if not new:
+            return members
+        members |= new
+
+
 def test_close_fixpoint_examples():
     assert set(close([EpSet.ray(0)]).members) == {EpSet.ray(0)}
     assert set(close([EpSet.progression(2, 3)]).members) == {
@@ -28,6 +41,10 @@ def test_close_cap_raises_not_truncates():
     gens = [EpSet.from_raw(0, 0, 5, 0b10110), EpSet.from_raw(0, 0, 6, 0b101101)]
     with pytest.raises(ClosureDiverged):
         close(gens, cap=8)
+    # generators count against the cap like every other member
+    with pytest.raises(ClosureDiverged):
+        close([EMPTY, EpSet.ray(0)], cap=1)
+    assert len(close([EMPTY, EpSet.ray(0)], cap=2)) == 2
 
 
 def test_is_omega_closed_examples():
@@ -72,6 +89,9 @@ def test_closure_is_closed_idempotent_monotone(rng):
         except ClosureDiverged:
             continue
         assert omega_closure_witness(fam.members) is None
+        if len(fam) <= 16:
+            # closed alone is not enough: nothing beyond the closure either
+            assert set(fam.members) == pairwise_closure(gens)
         assert close(fam.members, cap=len(fam) + 1) == fam
         try:
             bigger = close(gens + [random_epset(rng, max_threshold=6,
