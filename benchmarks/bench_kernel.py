@@ -2,8 +2,8 @@
 """Benchmark the compiled kernel against the pure-Python one.
 
 Times the raw kernel functions on a fixed random workload, plus two macro
-workloads (a closure fixpoint and an associativity storm) with the kernel
-swapped underneath.  Usage::
+workloads (closures of up to 256 members and an associativity storm) with
+the kernel swapped underneath.  Usage::
 
     python benchmarks/bench_kernel.py [--trials 200000] [--seed 1]
 """
@@ -32,6 +32,12 @@ def make_workload(trials, seed):
     pairs = [(rng.choice(quads), rng.choice(quads), rng.randint(-12, 12))
              for _ in range(trials)]
     return pairs
+
+
+# generator sets closed by the closure macro, and their member cap: large
+# enough that the macro takes about half a second with the compiled kernel
+CLOSURE_DRAWS = 300
+CLOSURE_CAP = 256
 
 
 def bench_micro(kernel, pairs):
@@ -69,17 +75,25 @@ def bench_macro(kernel, seed):
         for name in saved:
             setattr(selector, name, getattr(kernel, name))
         from epshift.core import SemigroupCtx
+        from epshift.errors import ClosureDiverged
         from epshift.family import close
-        from epshift.omega_sets import EpSet
         from epshift.selftest import SuiteOptions, random_closed_family, \
-            random_element
+            random_element, random_epset
 
         rng = random.Random(seed)
         opts = SuiteOptions()
+        draws = [[random_epset(rng, opts.max_threshold, opts.max_period)
+                  for _ in range(rng.randint(2, 4))]
+                 for _ in range(CLOSURE_DRAWS)]
         t0 = time.perf_counter()
-        fams = [random_closed_family(rng, opts) for _ in range(30)]
+        for gens in draws:
+            try:
+                close(gens, cap=CLOSURE_CAP)
+            except ClosureDiverged:
+                pass  # giving up at the cap is closure work too
         closure_dt = time.perf_counter() - t0
 
+        fams = [random_closed_family(rng, opts) for _ in range(30)]
         t0 = time.perf_counter()
         for fam in fams:
             ctx = SemigroupCtx(fam)

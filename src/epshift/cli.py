@@ -172,9 +172,18 @@ def run(cmd, opts: RunOptions = None) -> str:
     return text
 
 
+def _check_options(opts: RunOptions):
+    if opts.max_family < 1:
+        raise ValueError(
+            f"--max-family must be at least 1, got {opts.max_family}")
+    if opts.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {opts.samples}")
+
+
 def run_with_code(cmd, opts: RunOptions = None):
     opts = opts or RunOptions()
     try:
+        _check_options(opts)
         payload = _RUNNERS[type(cmd)](cmd, opts)
         code = EXIT_OK
         if "result" in payload and isinstance(payload["result"], dict) \

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from . import kernel
 from .errors import EmptyOutsideFamily, NotIdempotent, NotRelated, OutsideFamily
-from .omega_sets import EpSet, exists_shift_subset, intersect, is_subset, shift
+from .omega_sets import EpSet, exists_shift_subset, is_subset, shift
 
 GREEN_RELATIONS = ("R", "L", "H", "D", "J")
 
@@ -43,7 +44,7 @@ class Element:
     def inverse(self) -> "Element":
         if self.fset is None:
             return self
-        return Element(self.j, self.i, self.fset)
+        return _triple(self.j, self.i, self.fset)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -69,10 +70,18 @@ class Element:
         return grammar.parse_element(text)
 
 
-ZERO = object.__new__(Element)
-ZERO.i = 0
-ZERO.j = 0
-ZERO.fset = None
+def _triple(i: int, j: int, fset) -> Element:
+    """Trusted constructor: ``fset`` is a nonempty EpSet (or ``None`` for
+    the zero) that came out of an element or the kernel, so the public
+    constructor's checks are skipped."""
+    e = object.__new__(Element)
+    e.i = i
+    e.j = j
+    e.fset = fset
+    return e
+
+
+ZERO = _triple(0, 0, None)
 
 
 class SemigroupCtx:
@@ -105,39 +114,42 @@ class SemigroupCtx:
             return self.family.has_empty
         return a.fset in self.family
 
-    def _product_set(self, x: EpSet, y: EpSet, n: int) -> EpSet:
-        # x & shift(y, -n); for n past y's threshold only n mod period matters
-        t, p = y.threshold, y.period
-        if n >= t:
-            n = t + (n - t) % p
-        key = (x, y, n)
-        cached = self._prod_cache.get(key)
-        if cached is None:
-            cached = self._prod_cache[key] = intersect(x, shift(y, -n))
-        return cached
-
     def mul(self, a: Element, b: Element) -> Element:
-        if a.fset is None or b.fset is None:
+        x, y = a.fset, b.fset
+        if x is None or y is None:
             if not self.family.has_empty:
                 raise EmptyOutsideFamily("zero element in a family without {}")
             return ZERO
+        # the product set is x & shift(y, -n) for the ordered pair below
         d = a.j - b.i
         if d < 0:
-            fs = self._product_set(b.fset, a.fset, -d)
+            x, y, n = y, x, -d
             i, j = a.i - a.j + b.i, b.j
         elif d == 0:
-            fs = self._product_set(a.fset, b.fset, 0)
+            n = 0
             i, j = a.i, b.j
         else:
-            fs = self._product_set(a.fset, b.fset, d)
+            n = d
             i, j = a.i, a.j - b.i + b.j
-        if fs.is_empty:
+        # past y's threshold only n mod period matters
+        t = y._t
+        if n >= t:
+            n = t + (n - t) % y._p
+        key = (x, y, n)
+        try:
+            fs = self._prod_cache[key]
+        except KeyError:
+            m = kernel.intersect(*x.raw, *kernel.shift(*y.raw, -n))
+            # an empty product set is cached as None, the zero's set
+            fs = EpSet._from_canon(*m) if m[0] or m[3] else None
+            self._prod_cache[key] = fs
+        if fs is None:
             if not self.family.has_empty:
                 raise EmptyOutsideFamily(
                     f"product of {a} and {b} has empty set but the family "
                     "has no empty member (family is not omega-closed?)")
             return ZERO
-        return Element(i, j, fs)
+        return _triple(i, j, fs)
 
     def mul_all(self, *elements: Element) -> Element:
         acc = elements[0]
@@ -231,8 +243,8 @@ def green_witness(a: Element, b: Element, rel: str) -> Tuple[Element, Element]:
         return (ZERO, ZERO)
     f = a.fset
     if rel == "R":
-        return (Element(a.j, b.j, f), Element(b.j, a.j, f))
+        return (_triple(a.j, b.j, f), _triple(b.j, a.j, f))
     if rel == "L":
-        return (Element(b.i, a.i, f), Element(a.i, b.i, f))
-    c = Element(a.i, b.j, f)
+        return (_triple(b.i, a.i, f), _triple(a.i, b.i, f))
+    c = _triple(a.i, b.j, f)
     return (c, c.inverse())

@@ -7,13 +7,16 @@ over ``n`` is finite in disguise: once ``n`` passes the threshold of
 so ``n < threshold + period`` already produces every possible value.
 
 The same periodicity makes closing cheap: :func:`close` only ever cuts
-members with the finitely many down-shifts of the generators.
+members with the finitely many down-shifts of the generators.  Closing and
+validating both work on the kernel's raw ``(h, t, p, r)`` quadruples and
+wrap members in :class:`EpSet` only for the caller.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
+from . import kernel
 from .errors import ClosureDiverged, NotOmegaClosed
 from .omega_sets import EMPTY, EpSet, intersect, shift, sort_key
 
@@ -22,9 +25,11 @@ DEFAULT_CLOSURE_CAP = 4096
 Witness = Tuple[EpSet, EpSet, int]
 
 
-def _shift_span(f: EpSet) -> int:
-    """Number of distinct down-shifts of ``f``: its threshold plus period."""
-    return f.threshold + f.period
+def _down_shifts(q) -> list:
+    """Every down-shift ``shift(q, -n)`` of a raw quadruple, for ``n`` below
+    its threshold plus period; the later ones repeat these."""
+    h, t, p, r = q
+    return [kernel.shift(h, t, p, r, -n) for n in range(t + p)]
 
 
 class Family:
@@ -34,13 +39,14 @@ class Family:
     (used by :func:`close`, whose output is closed by construction).
     """
 
-    __slots__ = ("_members", "_sorted", "has_empty")
+    __slots__ = ("_members", "_sorted", "_nonempty", "has_empty")
 
     def __init__(self, members: Iterable[EpSet], *, check: bool = True):
         self._members = frozenset(members)
         if not self._members:
             raise ValueError("a family needs at least one member")
         self._sorted = tuple(sorted(self._members, key=sort_key))
+        self._nonempty = tuple(f for f in self._sorted if not f.is_empty)
         self.has_empty = EMPTY in self._members
         if check:
             witness = omega_closure_witness(self._members)
@@ -57,7 +63,7 @@ class Family:
 
     @property
     def nonempty_members(self) -> Tuple[EpSet, ...]:
-        return tuple(f for f in self._sorted if not f.is_empty)
+        return self._nonempty
 
     def __contains__(self, f) -> bool:
         return f in self._members
@@ -115,14 +121,24 @@ class SingletonFamily:
 
 
 def omega_closure_witness(members: Iterable[EpSet]) -> Optional[Witness]:
-    """First ``(F1, F2, n)`` violating closure, or ``None`` if closed."""
-    pool = frozenset(members)
-    ordered = sorted(pool, key=sort_key)
+    """First ``(F1, F2, n)`` violating closure, or ``None`` if closed.
+
+    "First" is in the order ``F1``, then ``F2`` (both by :func:`sort_key`),
+    then ``n``.  Many ``(F2, n)`` give the same down-shift, so each distinct
+    down-shift is kept once, at its first ``(F2, n)``: the earliest failing
+    ``(F2, n)`` for an ``F1`` is the first occurrence of a failing one.
+    """
+    ordered = sorted(frozenset(members), key=sort_key)
+    pool = {f.raw for f in ordered}
+    first = {}  # distinct down-shift -> its first (F2, n), in scan order
+    for f2 in ordered:
+        for n, d in enumerate(_down_shifts(f2.raw)):
+            first.setdefault(d, (f2, n))
     for f1 in ordered:
-        for f2 in ordered:
-            for n in range(_shift_span(f2)):
-                if intersect(f1, shift(f2, -n)) not in pool:
-                    return (f1, f2, n)
+        h, t, p, r = f1.raw
+        for d, (f2, n) in first.items():
+            if kernel.intersect(h, t, p, r, *d) not in pool:
+                return (f1, f2, n)
     return None
 
 
@@ -147,17 +163,18 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
     Raises :class:`ClosureDiverged` iff the closure has more than ``cap``
     members, rather than truncating silently.
     """
-    members = set(generators)
+    members = {g.raw for g in generators}
     if not members:
         raise ValueError("close() needs at least one generator")
-    cuts = {shift(g, -n) for g in members for n in range(_shift_span(g))}
+    cuts = {d for g in members for d in _down_shifts(g)}
     queue = list(members)
     while len(members) <= cap:
         if not queue:
-            return Family(members, check=False)
-        f = queue.pop()
+            return Family([EpSet._from_canon(*m) for m in members],
+                          check=False)
+        h, t, p, r = queue.pop()
         for d in cuts:
-            m = intersect(f, d)
+            m = kernel.intersect(h, t, p, r, *d)
             if m not in members:
                 members.add(m)
                 queue.append(m)

@@ -181,3 +181,24 @@ def test_closure_cap_flag(capsys):
     code, out = run_cli(capsys, "--max-family", "1", "closure{ {}; [0) }")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "closure_diverged"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--max-family", "-5", "closure{ [0) }"),
+     "--max-family must be at least 1, got -5"),
+    (("--max-family", "0", "eval", "(0,0;[0)) * (1,1;[0))"),
+     "--max-family must be at least 1, got 0"),
+    (("--samples", "-3", "selftest"), "--samples must be at least 0, got -3"),
+])
+def test_out_of_range_flags_are_invalid_values(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "invalid_value",
+                                         "message": message}}
+
+
+def test_smallest_flag_values_still_run(capsys):
+    code, out = run_cli(capsys, "--max-family", "1", "closure{ [0) }")
+    assert code == 0 and json.loads(out)["result"]["size"] == 1
+    code, out = run_cli(capsys, "--samples", "0", "selftest", "green")
+    assert code == 0 and json.loads(out)["result"]["passed"] is True

@@ -5,10 +5,10 @@ import pytest
 from epshift.core import (Element, SemigroupCtx, ZERO, green, green_witness,
                           idempotent_leq, inverse, is_idempotent, multiply,
                           natural_leq)
-from epshift.errors import (EmptyOutsideFamily, NotIdempotent, NotRelated,
-                            OutsideFamily)
-from epshift.family import Family, close
-from epshift.omega_sets import EMPTY, EpSet
+from epshift.errors import (ClosureDiverged, EmptyOutsideFamily, NotIdempotent,
+                            NotRelated, OutsideFamily)
+from epshift.family import Family, SingletonFamily, close
+from epshift.omega_sets import EMPTY, EpSet, intersect, shift
 
 from conftest import random_epset
 
@@ -107,6 +107,111 @@ def test_product_set_stays_in_family(rng):
             b = random_element(rng, fam, span=10)
             c = ctx.mul(a, b)
             assert ctx.contains(c)
+
+
+def reference_mul(family, a, b):
+    """The three-case product formula on plain sets, with no cache."""
+    if a.is_zero or b.is_zero:
+        if not family.has_empty:
+            raise EmptyOutsideFamily("zero factor")
+        return ZERO
+    if a.j < b.i:
+        i, j = a.i - a.j + b.i, b.j
+        f = intersect(shift(a.fset, a.j - b.i), b.fset)
+    elif a.j == b.i:
+        i, j = a.i, b.j
+        f = intersect(a.fset, b.fset)
+    else:
+        i, j = a.i, a.j - b.i + b.j
+        f = intersect(a.fset, shift(b.fset, b.i - a.j))
+    if f.is_empty:
+        if not family.has_empty:
+            raise EmptyOutsideFamily("empty product set")
+        return ZERO
+    return Element(i, j, f)
+
+
+def _outcome(mul, a, b):
+    try:
+        return mul(a, b)
+    except EmptyOutsideFamily:
+        return "raises"
+
+
+def _offset_pairs(rng, sets, count, zero_prob=0.0):
+    """Pairs whose shifted factor is moved by ``n`` below, at and above its
+    threshold, tagged with where ``n`` fell."""
+    out = []
+    for _ in range(count):
+        f1, f2 = rng.choice(sets), rng.choice(sets)
+        left = rng.random() < 0.5  # the left factor's set gets shifted
+        moved = f1 if left else f2
+        n = rng.randrange(moved.threshold + 2 * moved.period + 3)
+        d = -n if left else n  # d = a.j - b.i
+        a = Element(rng.randint(-9, 9), rng.randint(-9, 9), f1)
+        b = Element(a.j - d, rng.randint(-9, 9), f2)
+        if rng.random() < zero_prob:
+            a, b = rng.choice([(ZERO, b), (a, ZERO)])
+        t = moved.threshold
+        out.append((a, b, "below" if n < t else "at" if n == t else "above"))
+    return out
+
+
+def test_mul_matches_reference_formula(rng):
+    families = [close([RAY]), close([PROG]), close([EpSet.of(0, 1)]),
+                # not closed: products can be empty with no empty member
+                Family([EpSet.of(0), EpSet.of(2)], check=False)]
+    while len(families) < 12:
+        try:
+            families.append(close([random_epset(rng, max_threshold=5,
+                                                max_period=4)
+                                   for _ in range(rng.randint(1, 3))], cap=24))
+        except ClosureDiverged:
+            continue
+    seen = {"below": 0, "at": 0, "above": 0, "collapse": 0, "raises": 0}
+    for fam in families:
+        pairs = _offset_pairs(rng, fam.nonempty_members, 300, zero_prob=0.05)
+        want = [_outcome(lambda a, b: reference_mul(fam, a, b), a, b)
+                for a, b, _ in pairs]
+        cold = [_outcome(SemigroupCtx(fam).mul, a, b) for a, b, _ in pairs]
+        assert cold == want
+        ctx = SemigroupCtx(fam)
+        for _ in range(2):  # the second pass only hits the cache
+            assert [_outcome(ctx.mul, a, b) for a, b, _ in pairs] == want
+        for (a, b, where), got in zip(pairs, want):
+            seen[where] += 1
+            if got is ZERO and not (a.is_zero or b.is_zero):
+                seen["collapse"] += 1
+            elif got == "raises":
+                seen["raises"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_mul_matches_reference_over_singletons(rng):
+    fam = SingletonFamily()
+    sets = [EpSet.of(k) for k in range(4)]
+    pairs = _offset_pairs(rng, sets, 2000, zero_prob=0.05)
+    want = [reference_mul(fam, a, b) for a, b, _ in pairs]
+    assert [SemigroupCtx(fam).mul(a, b) for a, b, _ in pairs] == want
+    ctx = SemigroupCtx(fam)
+    for _ in range(2):
+        assert [ctx.mul(a, b) for a, b, _ in pairs] == want
+    assert sum(p is ZERO for p in want) >= 100
+    assert sum(p is not ZERO for p in want) >= 100
+
+
+def test_products_are_plain_elements(rng):
+    # products skip the public constructor's checks (test_element_validation)
+    fam = close([EpSet.of(0, 1), EpSet.progression(1, 2)])
+    ctx = SemigroupCtx(fam)
+    for a, b, _ in _offset_pairs(rng, fam.nonempty_members, 300):
+        for p in (ctx.mul(a, b), a.inverse()):
+            if p is ZERO:
+                continue
+            q = Element(p.i, p.j, EpSet.from_raw(*p.fset.raw))
+            assert type(p) is Element and p.fset in fam
+            assert p == q and q == p and hash(p) == hash(q)
+            assert str(p) == str(q)
 
 
 # -- inverses and idempotents ----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from epshift.errors import ClosureDiverged, NotOmegaClosed
 from epshift.family import (Family, SingletonFamily, close, is_omega_closed,
                             omega_closure_witness)
-from epshift.omega_sets import EMPTY, EpSet, intersect, shift
+from epshift.omega_sets import EMPTY, EpSet, intersect, shift, sort_key
 
 from conftest import random_epset
 
@@ -21,6 +21,27 @@ def pairwise_closure(gens):
         if not new:
             return members
         members |= new
+
+
+def pairwise_witness(members):
+    """The closure check read literally: the first ``(F1, F2, n)`` in sorted
+    order whose cut falls outside the members.  Slow, so only for small
+    lists."""
+    pool = frozenset(members)
+    ordered = sorted(pool, key=sort_key)
+    for f1 in ordered:
+        for f2 in ordered:
+            for n in range(f2.threshold + f2.period):
+                if intersect(f1, shift(f2, -n)) not in pool:
+                    return (f1, f2, n)
+    return None
+
+
+def expected_message(witness):
+    """``NotOmegaClosed``'s message for a witness; the CLI prints it."""
+    f1, f2, n = witness
+    return (f"{f1} ∩ shift({f2}, -{n}) = {intersect(f1, shift(f2, -n))} "
+            "is outside the family")
 
 
 def test_close_fixpoint_examples():
@@ -57,6 +78,51 @@ def test_is_omega_closed_examples():
     assert intersect(f1, shift(f2, -n)) == EpSet.of(0)
     ok, _ = is_omega_closed([EpSet.ray(0)])
     assert ok
+
+
+def test_witness_matches_pairwise_scan(rng):
+    kinds = {"closed": 0, "dropped": 0, "added": 0}
+    while sum(kinds.values()) < 1200:
+        gens = [random_epset(rng, max_threshold=5, max_period=4)
+                for _ in range(rng.randint(1, 3))]
+        try:
+            closed = list(close(gens, cap=16).members)
+        except ClosureDiverged:
+            continue
+        lists = {"closed": closed,
+                 "added": closed + [random_epset(rng, max_threshold=6,
+                                                 max_period=5)]}
+        if len(closed) > 1:
+            dropped = list(closed)
+            dropped.pop(rng.randrange(len(dropped)))
+            lists["dropped"] = dropped
+        for kind, members in lists.items():
+            rng.shuffle(members)
+            want = pairwise_witness(members)
+            assert omega_closure_witness(members) == want, (kind, members)
+            if kind == "closed":
+                assert want is None
+            kinds[kind] += 1
+            if want is None:
+                Family(members, check=True)
+                continue
+            with pytest.raises(NotOmegaClosed) as info:
+                Family(members, check=True)
+            f1, f2, n = want
+            assert str(info.value) == expected_message(want)
+            assert info.value.details == {"f1": str(f1), "f2": str(f2), "n": n}
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_not_closed_message_is_stable():
+    with pytest.raises(NotOmegaClosed) as info:
+        Family([EpSet.of(0, 1)])
+    assert str(info.value) == \
+        "{0,1} ∩ shift({0,1}, -1) = {0} is outside the family"
+    with pytest.raises(NotOmegaClosed) as info:
+        Family([EpSet.ray(0), EpSet.ray(2)])
+    assert str(info.value) == \
+        "[0) ∩ shift([2), -1) = [1) is outside the family"
 
 
 def test_ray_families_are_closed():
