@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from . import kernel
 from .errors import EmptyOutsideFamily, NotIdempotent, NotRelated, OutsideFamily
-from .omega_sets import EpSet, exists_shift_subset, is_subset, shift
+from .omega_sets import EpSet, exists_shift_subset, intersect, is_subset, shift
 
 GREEN_RELATIONS = ("R", "L", "H", "D", "J")
 
@@ -132,16 +131,17 @@ class SemigroupCtx:
             n = d
             i, j = a.i, a.j - b.i + b.j
         # past y's threshold only n mod period matters
-        t = y._t
+        t = y.threshold
         if n >= t:
-            n = t + (n - t) % y._p
+            n = t + (n - t) % y.period
         key = (x, y, n)
         try:
             fs = self._prod_cache[key]
         except KeyError:
-            m = kernel.intersect(*x.raw, *kernel.shift(*y.raw, -n))
+            fs = intersect(x, shift(y, -n))
             # an empty product set is cached as None, the zero's set
-            fs = EpSet._from_canon(*m) if m[0] or m[3] else None
+            if fs.is_empty:
+                fs = None
             self._prod_cache[key] = fs
         if fs is None:
             if not self.family.has_empty:

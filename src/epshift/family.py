@@ -25,11 +25,11 @@ DEFAULT_CLOSURE_CAP = 4096
 Witness = Tuple[EpSet, EpSet, int]
 
 
-def _down_shifts(q) -> list:
-    """Every down-shift ``shift(q, -n)`` of a raw quadruple, for ``n`` below
-    its threshold plus period; the later ones repeat these."""
+def _down_shifts(q):
+    """Every down-shift ``shift(q, -n)`` of a raw quadruple, in order of
+    ``n`` below its threshold plus period; the later ones repeat these."""
     h, t, p, r = q
-    return [kernel.shift(h, t, p, r, -n) for n in range(t + p)]
+    return (kernel.shift(h, t, p, r, -n) for n in range(t + p))
 
 
 class Family:
@@ -127,14 +127,20 @@ def omega_closure_witness(members: Iterable[EpSet]) -> Optional[Witness]:
     then ``n``.  Many ``(F2, n)`` give the same down-shift, so each distinct
     down-shift is kept once, at its first ``(F2, n)``: the earliest failing
     ``(F2, n)`` for an ``F1`` is the first occurrence of a failing one.
+    The table fills while the first ``F1`` is cut, so a violation there
+    returns before the remaining down-shifts are built.
     """
     ordered = sorted(frozenset(members), key=sort_key)
     pool = {f.raw for f in ordered}
+    f1 = ordered[0]
     first = {}  # distinct down-shift -> its first (F2, n), in scan order
     for f2 in ordered:
         for n, d in enumerate(_down_shifts(f2.raw)):
-            first.setdefault(d, (f2, n))
-    for f1 in ordered:
+            if d not in first:
+                if kernel.intersect(*f1.raw, *d) not in pool:
+                    return (f1, f2, n)
+                first[d] = (f2, n)
+    for f1 in ordered[1:]:
         h, t, p, r = f1.raw
         for d, (f2, n) in first.items():
             if kernel.intersect(h, t, p, r, *d) not in pool:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from epshift import kernel
 from epshift.errors import ClosureDiverged, NotOmegaClosed
 from epshift.family import (Family, SingletonFamily, close, is_omega_closed,
                             omega_closure_witness)
@@ -123,6 +124,24 @@ def test_not_closed_message_is_stable():
         Family([EpSet.ray(0), EpSet.ray(2)])
     assert str(info.value) == \
         "[0) ∩ shift([2), -1) = [1) is outside the family"
+
+
+def test_witness_stops_at_first_violation(monkeypatch):
+    # {0,100000} has 100001 down-shifts of up to 100000 bits each, but its
+    # cut with the one at n = 1 is already outside, so no more are built
+    shifts = []
+    real_shift = kernel.shift
+
+    def counting_shift(*args):
+        shifts.append(args[-1])
+        return real_shift(*args)
+
+    monkeypatch.setattr(kernel, "shift", counting_shift)
+    big = EpSet.of(0, 100000)
+    with pytest.raises(NotOmegaClosed) as info:
+        Family([big])
+    assert info.value.details == {"f1": str(big), "f2": str(big), "n": 1}
+    assert len(shifts) < 10
 
 
 def test_ray_families_are_closed():
