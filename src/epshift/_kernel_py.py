@@ -56,8 +56,10 @@ def canon(h: int, t: int, p: int, r: int):
                 r &= (1 << d) - 1
                 p = d
                 break
-    while t > 0 and ((h >> (t - 1)) & 1) == ((r >> ((t - 1) % p)) & 1):
-        t -= 1
+    if t > 0 and ((h >> (t - 1)) & 1) == ((r >> ((t - 1) % p)) & 1):
+        # lower t to just above the highest bit where the head and the tail
+        # pattern disagree
+        t = (h ^ window(0, 0, p, r, t)).bit_length()
         h &= (1 << t) - 1
     return h, t, p, r
 

@@ -12,7 +12,8 @@ One command per invocation, JSON on stdout.  Commands:
 * ``oracle-check``                         product vs pointwise composition
 * ``selftest [<suite>]``                   run the verification suites
 
-Exit codes: 0 ok, 1 domain error, 2 syntax error, 3 self-test failure.
+Exit codes: 0 ok, 1 domain error or exhausted memory or recursion,
+2 syntax error, 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import grammar
-from .classify import classify
 from .core import SemigroupCtx, green, green_witness
 from .core import natural_leq as _natural_leq
 from .errors import DomainError, ParseError
-from .family import DEFAULT_CLOSURE_CAP, Family, close
-from .morphisms import (progression_reindex, sigma_hom, to_brandt,
-                        to_ext_bicyclic, to_matrix_units)
+from .family import (DEFAULT_CLOSURE_CAP, DEFAULT_SAMPLES, DEFAULT_SEED,
+                     DEFAULT_WINDOW, Family, close)
 from .omega_sets import EMPTY
-from .selftest import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_WINDOW,
-                       SuiteOptions, run_check_hom, run_suite, suite_oracle,
-                       SUITES)
+
+# Each command imports the heavier modules it runs (``classify``,
+# ``morphisms``, ``selftest``) itself, so a process pays only for its own.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -41,16 +40,15 @@ EXIT_SYNTAX = 2
 EXIT_SELFTEST = 3
 
 
-@dataclass
-class RunOptions:
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
-    window: int = DEFAULT_WINDOW
-    max_family: int = DEFAULT_CLOSURE_CAP
-    pretty: bool = False
+RunOptions = namedtuple(
+    "RunOptions", "seed samples window max_family pretty",
+    defaults=(DEFAULT_SEED, DEFAULT_SAMPLES, DEFAULT_WINDOW,
+              DEFAULT_CLOSURE_CAP, False))
 
 
-def _suite_options(opts: RunOptions) -> SuiteOptions:
+def _suite_options(opts: RunOptions):
+    from .selftest import SuiteOptions
+
     return SuiteOptions(samples=opts.samples, seed=opts.seed,
                         window=opts.window, max_family=opts.max_family)
 
@@ -80,6 +78,8 @@ def _run_closure(cmd, opts: RunOptions):
 
 
 def _run_classify(cmd, opts: RunOptions):
+    from .classify import classify
+
     if cmd.kind == "closure":
         fam = close(cmd.sets, cap=opts.max_family)
     else:
@@ -102,6 +102,9 @@ def _run_order(cmd, opts: RunOptions):
 
 
 def _run_map(cmd, opts: RunOptions):
+    from .morphisms import (progression_reindex, sigma_hom, to_brandt,
+                            to_ext_bicyclic, to_matrix_units)
+
     a = cmd.element
     if cmd.name == "brandt":
         # the ambient family is the symbolic singleton one; nothing to close
@@ -130,16 +133,22 @@ def _suite_payload(results):
 
 
 def _run_check_hom(cmd, opts: RunOptions):
+    from .selftest import run_check_hom
+
     res = run_check_hom(cmd.name, _suite_options(opts))
     return {"result": _suite_payload([res])}
 
 
 def _run_oracle_check(cmd, opts: RunOptions):
+    from .selftest import suite_oracle
+
     res = suite_oracle(_suite_options(opts))
     return {"result": _suite_payload([res])}
 
 
 def _run_selftest(cmd, opts: RunOptions):
+    from .selftest import SUITES, run_suite
+
     sopts = _suite_options(opts)
     if cmd.suite is not None:
         results = [run_suite(cmd.suite, sopts)]
@@ -195,6 +204,10 @@ def run_with_code(cmd, opts: RunOptions = None):
         code = EXIT_DOMAIN
     except ValueError as exc:
         payload = {"error": {"code": "invalid_value", "message": str(exc)}}
+        code = EXIT_DOMAIN
+    except (MemoryError, RecursionError) as exc:
+        payload = {"error": {"code": "resource_limit",
+                             "message": str(exc) or "out of memory"}}
         code = EXIT_DOMAIN
     return _dump(payload, opts), code
 

@@ -22,6 +22,11 @@ from .omega_sets import EMPTY, EpSet, intersect, shift, sort_key
 
 DEFAULT_CLOSURE_CAP = 4096
 
+# defaults of the sampled verification suites, shared with the CLI flags
+DEFAULT_SEED = 7
+DEFAULT_SAMPLES = 10_000
+DEFAULT_WINDOW = 128
+
 Witness = Tuple[EpSet, EpSet, int]
 
 

@@ -11,8 +11,8 @@ returns an equal value (everything normalizes to canonical form).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from collections import namedtuple
+from typing import Tuple
 
 from .core import Element, ZERO
 from .errors import ParseError
@@ -27,12 +27,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")
 
 
 def _tokenize(text: str):
@@ -194,55 +189,15 @@ class _Parser:
 
 # -- commands -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalCmd:
-    factors: Tuple[Element, ...]
-
-
-@dataclass(frozen=True)
-class ClosureCmd:
-    sets: Tuple[EpSet, ...]
-
-
-@dataclass(frozen=True)
-class ClassifyCmd:
-    kind: str  # "family" or "closure"
-    sets: Tuple[EpSet, ...]
-
-
-@dataclass(frozen=True)
-class GreenCmd:
-    a: Element
-    b: Element
-    rel: str
-
-
-@dataclass(frozen=True)
-class OrderCmd:
-    a: Element
-    b: Element
-
-
-@dataclass(frozen=True)
-class MapCmd:
-    name: str
-    args: Tuple[int, ...]
-    element: Element
-
-
-@dataclass(frozen=True)
-class CheckHomCmd:
-    name: str
-
-
-@dataclass(frozen=True)
-class OracleCheckCmd:
-    pass
-
-
-@dataclass(frozen=True)
-class SelfTestCmd:
-    suite: Optional[str]
+EvalCmd = namedtuple("EvalCmd", "factors")
+ClosureCmd = namedtuple("ClosureCmd", "sets")
+ClassifyCmd = namedtuple("ClassifyCmd", "kind sets")  # kind: family|closure
+GreenCmd = namedtuple("GreenCmd", "a b rel")
+OrderCmd = namedtuple("OrderCmd", "a b")
+MapCmd = namedtuple("MapCmd", "name args element")
+CheckHomCmd = namedtuple("CheckHomCmd", "name")
+OracleCheckCmd = namedtuple("OracleCheckCmd", "")
+SelfTestCmd = namedtuple("SelfTestCmd", "suite")  # suite: a name or None
 
 
 MAP_NAMES = ("sigma", "ext-bicyclic", "matrix-units", "brandt", "reindex")

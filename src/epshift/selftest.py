@@ -20,7 +20,8 @@ from .classify import (ISO_EXTENDED_BICYCLIC, ISO_MATRIX_UNITS, ISO_PROGRESSION,
 from .core import (Element, SemigroupCtx, ZERO, green, green_witness, inverse,
                    idempotent_leq, is_idempotent, natural_leq)
 from .errors import ClosureDiverged
-from .family import Family, close, is_omega_closed
+from .family import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_WINDOW, Family,
+                     close, is_omega_closed)
 from .morphisms import (BrandtElt, ExtBicyclicElt, brandt_mul,
                         ext_bicyclic_mul, matrix_unit_mul, partial_shift_iso,
                         progression_reindex, sigma_hom, singleton_ctx,
@@ -29,10 +30,6 @@ from .morphisms import (BrandtElt, ExtBicyclicElt, brandt_mul,
 from .omega_sets import EMPTY, EpSet, exists_shift_subset, is_subset, shift
 from .partial_maps import (PartialShift, compose_shifts,
                            restricted_compose_dom, restricted_compose_dom_closed)
-
-DEFAULT_SEED = 7
-DEFAULT_SAMPLES = 10_000
-DEFAULT_WINDOW = 128
 
 
 @dataclass
@@ -636,11 +633,15 @@ def _hom_matrix_units(tally: _Tally, rng: random.Random, opts: SuiteOptions):
 def _hom_brandt(tally: _Tally, rng: random.Random, opts: SuiteOptions):
     ctx = singleton_ctx()
     hits: Dict[tuple, int] = {}
-    for _ in range(opts.samples):
+    splits = [(case, match) for case in (-1, 0, 1) for match in (False, True)]
+    for i in range(opts.samples):
         k1, k2 = rng.randint(0, 8), rng.randint(0, 8)
         j1 = rng.randint(-12, 12)
         case = rng.choice((-1, 0, 1))
         match = rng.random() < 0.5
+        if i < len(splits):
+            # the first samples visit every split, so a few samples cover all
+            case, match = splits[i]
         if case == 0:
             i2 = j1
             if not match and k1 == k2:
@@ -668,7 +669,7 @@ def _hom_brandt(tally: _Tally, rng: random.Random, opts: SuiteOptions):
                     lambda a=a, b=b, lhs=lhs, rhs=rhs:
                     f"triple map not a homomorphism on {a}, {b}: "
                     f"{lhs} vs {rhs}")
-    tally.check(len(hits) == 6,
+    tally.check(len(hits) == min(len(splits), opts.samples),
                 f"not all six product case splits were exercised: {sorted(hits)}")
     # surjectivity: explicit preimages of random codomain triples
     for _ in range(min(opts.samples, 500)):

@@ -1,12 +1,25 @@
 """End-to-end CLI: golden outputs, determinism, exit codes."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
+import epshift
 from epshift import cli
+
+SRC = os.path.dirname(os.path.dirname(epshift.__file__))
+
+
+def run_fresh(args, timeout=None, preexec_fn=None):
+    """Run ``python <args>`` in a new interpreter on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout,
+                          preexec_fn=preexec_fn)
 
 
 def run_cli(capsys, *argv):
@@ -202,3 +215,84 @@ def test_smallest_flag_values_still_run(capsys):
     assert code == 0 and json.loads(out)["result"]["size"] == 1
     code, out = run_cli(capsys, "--samples", "0", "selftest", "green")
     assert code == 0 and json.loads(out)["result"]["passed"] is True
+
+
+def test_small_sample_counts_cover_every_case_split(capsys):
+    code, out = run_cli(capsys, "--samples", "1", "selftest", "morphisms")
+    assert code == 0 and json.loads(out)["result"]["passed"] is True
+    code, out = run_cli(capsys, "--samples", "3", "check-hom", "brandt")
+    assert code == 0 and json.loads(out)["result"]["passed"] is True
+
+
+def test_out_of_memory_is_reported_as_json():
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_fresh(["-m", "epshift.cli", "green", "(0,0;1+100003*w)",
+                      "(0,0;2+100019*w)", "J"],
+                     timeout=1, preexec_fn=limit_memory)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["code"] == "resource_limit"
+
+
+# the names ``epshift`` exports, by the module that defines them
+EXPORTS = {
+    "core": "Element SemigroupCtx ZERO green green_witness idempotent_leq "
+            "inverse is_idempotent multiply natural_leq",
+    "errors": "ClosureDiverged DomainError EmptyOutsideFamily NotIdempotent "
+              "NotOmegaClosed NotRelated NotSingletonSet OutsideFamily "
+              "ParseError WrongIsoType WrongProgression ZeroInFamily",
+    "family": "Family SingletonFamily close is_omega_closed",
+    "omega_sets": "EMPTY EpSet as_arith_progression as_singleton "
+                  "exists_shift_subset intersect is_inductive is_subset "
+                  "shift union",
+    "classify": "StructureReport classify d_class_count",
+    "morphisms": "BrandtElt ExtBicyclicElt MatrixUnitElt brandt_mul "
+                 "ext_bicyclic_mul matrix_unit_mul partial_shift_iso "
+                 "progression_reindex sigma_hom singleton_ctx to_brandt "
+                 "to_ext_bicyclic to_matrix_units",
+    "partial_maps": "PartialShift WindowFn compose_shifts eval_window "
+                    "restricted_compose_dom",
+}
+
+IMPORT_CHECK = f"""
+import importlib, sys
+import epshift.cli
+heavy = ["epshift.selftest", "epshift.classify", "epshift.morphisms",
+         "epshift.partial_maps", "dataclasses"]
+assert not [m for m in heavy if m in sys.modules], sys.modules.keys()
+
+import epshift
+from epshift import kernel
+exports = {EXPORTS!r}
+names = {{n for names in exports.values() for n in names.split()}}
+assert names | {{"KERNEL_BACKEND"}} == set(epshift.__all__)
+assert epshift.KERNEL_BACKEND == kernel.BACKEND
+# loading a submodule, as the classify command does, must not rebind the
+# package's function of the same name to the module
+importlib.import_module("epshift.classify")
+for module, names in exports.items():
+    home = importlib.import_module("epshift." + module)
+    for name in names.split():
+        assert getattr(epshift, name) is getattr(home, name), name
+assert set(epshift.__all__) <= set(dir(epshift))
+try:
+    epshift.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+
+star = {{}}
+exec("from epshift import *", star)
+assert set(epshift.__all__) <= set(star)
+print("ok")
+"""
+
+
+def test_cli_import_loads_only_what_commands_share():
+    # pytest has every module loaded already; only a new interpreter shows
+    # what ``import epshift.cli`` itself pulls in
+    proc = run_fresh(["-c", IMPORT_CHECK])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -144,6 +144,12 @@ def test_witness_stops_at_first_violation(monkeypatch):
     assert len(shifts) < 10
 
 
+def test_long_finite_member_validates():
+    # every down-shift of {0,4000} canonicalises a head about 4000 bits long
+    fam = Family([EMPTY, EpSet.of(0), EpSet.of(0, 4000)])
+    assert len(fam) == 3
+
+
 def test_ray_families_are_closed():
     # down-shifts only ever lower a ray, so ray intervals are closed
     ok, _ = is_omega_closed([EpSet.ray(0), EpSet.ray(1), EMPTY])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epshift import _kernel_py
 from epshift.omega_sets import (EMPTY, EpSet, as_arith_progression,
                                 as_singleton, exists_shift_subset, intersect,
                                 is_inductive, is_subset, shift, union)
@@ -86,6 +87,40 @@ def test_canonical_form_is_minimal_and_stable(q):
             assert any(((c in f.residues) != (((c + d) % f.period)
                                               in f.residues))
                        for c in range(f.period))
+
+
+def loop_canon(h, t, p, r):
+    """The canonical form with the threshold lowered one bit at a time."""
+    h &= (1 << t) - 1
+    r &= (1 << p) - 1
+    if r == 0:
+        p = 1
+    for d in range(1, p):
+        if p % d == 0 and all((r >> c) & 1 == (r >> (c % d)) & 1
+                              for c in range(p)):
+            r &= (1 << d) - 1
+            p = d
+            break
+    while t > 0 and ((h >> (t - 1)) & 1) == ((r >> ((t - 1) % p)) & 1):
+        t -= 1
+        h &= (1 << t) - 1
+    return h, t, p, r
+
+
+def test_canon_threshold_matches_bitwise_loop(rng):
+    for _ in range(4000):
+        t = rng.randint(0, 120)
+        p = rng.randint(1, 9)
+        r = rng.getrandbits(p) if rng.random() < 0.8 else 0
+        # a head that follows the tail pattern except in its lowest bits,
+        # plus junk at and above the threshold
+        pattern = sum(((r >> (n % p)) & 1) << n for n in range(t))
+        h = pattern ^ rng.getrandbits(rng.randint(0, t))
+        h |= rng.getrandbits(3) << t
+        assert _kernel_py.canon(h, t, p, r) == loop_canon(h, t, p, r)
+    for _ in range(2000):
+        q = random_raw(rng)
+        assert _kernel_py.canon(*q) == loop_canon(*q)
 
 
 @given(epsets(), epsets())
