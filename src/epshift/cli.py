@@ -187,6 +187,8 @@ def _check_options(opts: RunOptions):
             f"--max-family must be at least 1, got {opts.max_family}")
     if opts.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {opts.samples}")
+    if opts.window < 1:
+        raise ValueError(f"--window must be at least 1, got {opts.window}")
 
 
 def run_with_code(cmd, opts: RunOptions = None):

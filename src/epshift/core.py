@@ -43,13 +43,19 @@ class Element:
     def inverse(self) -> "Element":
         if self.fset is None:
             return self
-        return _triple(self.j, self.i, self.fset)
+        e = object.__new__(Element)
+        e.i = self.j
+        e.j = self.i
+        e.fset = self.fset
+        return e
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return (self.i == other.i and self.j == other.j
-                and self.fset == other.fset)
+        # products share their cached set objects, so identity usually
+        # decides without a call to EpSet.__eq__
+        x, y = self.fset, other.fset
+        return self.i == other.i and self.j == other.j and (x is y or x == y)
 
     def __hash__(self) -> int:
         return hash((self.i, self.j, self.fset))
@@ -72,7 +78,8 @@ class Element:
 def _triple(i: int, j: int, fset) -> Element:
     """Trusted constructor: ``fset`` is a nonempty EpSet (or ``None`` for
     the zero) that came out of an element or the kernel, so the public
-    constructor's checks are skipped."""
+    constructor's checks are skipped.  ``mul`` and ``Element.inverse``
+    inline it, since a call costs a frame on every product."""
     e = object.__new__(Element)
     e.i = i
     e.j = j
@@ -130,10 +137,11 @@ class SemigroupCtx:
         else:
             n = d
             i, j = a.i, a.j - b.i + b.j
-        # past y's threshold only n mod period matters
-        t = y.threshold
+        # past y's threshold only n mod period matters; the fields are
+        # read directly because the properties cost a frame per product
+        t = y._t
         if n >= t:
-            n = t + (n - t) % y.period
+            n = t + (n - t) % y._p
         key = (x, y, n)
         try:
             fs = self._prod_cache[key]
@@ -149,7 +157,11 @@ class SemigroupCtx:
                     f"product of {a} and {b} has empty set but the family "
                     "has no empty member (family is not omega-closed?)")
             return ZERO
-        return _triple(i, j, fs)
+        e = object.__new__(Element)
+        e.i = i
+        e.j = j
+        e.fset = fs
+        return e
 
     def mul_all(self, *elements: Element) -> Element:
         acc = elements[0]

@@ -171,6 +171,8 @@ class EpSet:
         return union(self, other)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, EpSet):
             return NotImplemented
         return (self._h == other._h and self._t == other._t

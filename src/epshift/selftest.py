@@ -299,9 +299,10 @@ def _exact_l(ctx, a, b) -> bool:
             and ctx.mul(ctx.mul(a, inverse(b)), b) == a)
 
 
-def _connects(ctx, c, a, b) -> bool:
-    return (ctx.mul(c, inverse(c)) == ctx.mul(a, inverse(a))
-            and ctx.mul(inverse(c), c) == ctx.mul(inverse(b), b))
+def _connects(ctx, c, aa, bb) -> bool:
+    # c connects a to b when c*c^-1 == a*a^-1 (``aa``) and c^-1*c == b^-1*b
+    # (``bb``); the caller computes both once per search
+    return ctx.mul(c, inverse(c)) == aa and ctx.mul(inverse(c), c) == bb
 
 
 def suite_green(opts: SuiteOptions) -> SuiteResult:
@@ -354,7 +355,8 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
         if a.is_zero or b.is_zero:
             found = a.is_zero and b.is_zero
         else:
-            found = any(_connects(ctx, Element(a.i, b.j, f), a, b)
+            aa, bb = ctx.mul(a, inverse(a)), ctx.mul(inverse(b), b)
+            found = any(_connects(ctx, Element(a.i, b.j, f), aa, bb)
                         for f in fam.nonempty_members)
         tally.check(claimed_d == found,
                     lambda a=a, b=b, claimed_d=claimed_d:
@@ -394,7 +396,8 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
                      and any(ctx.mul(sb, y) == sa for y in cands))
             got_l = (any(ctx.mul(x, sa) == sb for x in cands)
                      and any(ctx.mul(y, sb) == sa for y in cands))
-            got_d = any(_connects(ctx, c, sa, sb) for c in cands)
+            aa, bb = ctx.mul(sa, inverse(sa)), ctx.mul(inverse(sb), sb)
+            got_d = any(_connects(ctx, c, aa, bb) for c in cands)
             tally.check(green(sa, sb, "R") == got_r,
                         lambda sa=sa, sb=sb: f"R sweep disagrees on {sa}, {sb}")
             tally.check(green(sa, sb, "L") == got_l,

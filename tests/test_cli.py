@@ -202,6 +202,8 @@ def test_closure_cap_flag(capsys):
     (("--max-family", "0", "eval", "(0,0;[0)) * (1,1;[0))"),
      "--max-family must be at least 1, got 0"),
     (("--samples", "-3", "selftest"), "--samples must be at least 0, got -3"),
+    (("--window", "-3", "oracle-check"), "--window must be at least 1, got -3"),
+    (("--window", "0", "oracle-check"), "--window must be at least 1, got 0"),
 ])
 def test_out_of_range_flags_are_invalid_values(capsys, argv, message):
     code, out = run_cli(capsys, *argv)
@@ -214,6 +216,9 @@ def test_smallest_flag_values_still_run(capsys):
     code, out = run_cli(capsys, "--max-family", "1", "closure{ [0) }")
     assert code == 0 and json.loads(out)["result"]["size"] == 1
     code, out = run_cli(capsys, "--samples", "0", "selftest", "green")
+    assert code == 0 and json.loads(out)["result"]["passed"] is True
+    code, out = run_cli(capsys, "--window", "1", "--samples", "20",
+                        "oracle-check")
     assert code == 0 and json.loads(out)["result"]["passed"] is True
 
 

@@ -1,5 +1,7 @@
 """The semigroup itself: product, inverses, order, Green's relations."""
 
+import sys
+
 import pytest
 
 from epshift.core import (Element, SemigroupCtx, ZERO, green, green_witness,
@@ -212,6 +214,53 @@ def test_products_are_plain_elements(rng):
             assert type(p) is Element and p.fset in fam
             assert p == q and q == p and hash(p) == hash(q)
             assert str(p) == str(q)
+
+
+def _python_calls(thunk):
+    """Names of the Python functions ``thunk`` calls, in order."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    assert names[0] == thunk.__code__.co_name
+    return names[1:]
+
+
+def test_warm_product_and_shared_set_equality_call_counts():
+    # the hot path of the self-test sweeps: a cached product makes no call
+    # beyond the two set hashes of its cache key, and comparing triples
+    # that hold the same set object needs no call to EpSet.__eq__
+    f, g = EpSet.progression(1, 2), EpSet.of(0, 1, 3)
+    ctx = SemigroupCtx(close([f, g]))
+    for a, b in ((Element(0, 4, f), Element(2, 1, g)),  # j1 > i2
+                 (Element(0, 2, g), Element(2, 1, f)),  # j1 = i2
+                 (Element(0, 2, g), Element(4, 1, f))):  # j1 < i2
+        want = ctx.mul(a, b)
+        assert want is not ZERO
+        assert _python_calls(lambda: ctx.mul(a, b)) == [
+            "mul", "__hash__", "__hash__"]
+        p, q = ctx.mul(a, b), ctx.mul(a, b)
+        assert p.fset is q.fset and p == want
+        assert _python_calls(lambda: p == q) == ["__eq__"]
+
+
+def test_equality_by_value_across_distinct_objects():
+    f, g = EpSet.parse("{1}|2+3*w"), EpSet.from_raw(*EpSet.parse("{1}|2+3*w").raw)
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != EpSet.progression(2, 3) and f != f.raw
+    a, b = Element(1, -2, f), Element(1, -2, g)
+    assert a == b and hash(a) == hash(b)
+    assert a != Element(1, -2, EpSet.progression(2, 3))
+    assert a != Element(0, -2, f) and a != Element(1, 2, f)
+    assert a != ZERO and ZERO != a
+    assert (a == object()) is False and (ZERO == object()) is False
 
 
 # -- inverses and idempotents ----------------------------------------------------
