@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional
 
 from .classify import (ISO_EXTENDED_BICYCLIC, ISO_MATRIX_UNITS, ISO_PROGRESSION,
                        ISO_TRIVIAL, classify, d_class_count)
-from .core import (Element, SemigroupCtx, ZERO, green, green_witness, inverse,
-                   idempotent_leq, is_idempotent, natural_leq)
+from .core import (Element, SemigroupCtx, ZERO, _triple, green, green_witness,
+                   inverse, idempotent_leq, is_idempotent, natural_leq)
 from .errors import ClosureDiverged
 from .family import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_WINDOW, Family,
                      close, is_omega_closed)
@@ -88,13 +88,28 @@ def _rng(opts: SuiteOptions, name: str) -> random.Random:
 
 # -- random generators ------------------------------------------------------
 
+def _below(getrandbits, n: int) -> int:
+    """A draw in ``[0, n)`` that consumes ``getrandbits`` exactly as
+    ``Random.randrange`` and ``Random.choice`` do on CPython 3.10-3.13:
+    ``getrandbits(n.bit_length())`` until the value is below ``n``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        if n <= 0:
+            # randint and choice refuse an empty range rather than loop
+            raise ValueError(f"empty range for a draw below {n}")
+        r = getrandbits(k)
+    return r
+
+
 def random_epset(rng: random.Random, max_threshold=8, max_period=6,
                  allow_empty=True) -> EpSet:
+    bits = rng.getrandbits
     while True:
-        t = rng.randint(0, max_threshold)
-        p = rng.randint(1, max_period)
-        h = rng.getrandbits(t) if t else 0
-        r = rng.getrandbits(p) if rng.random() < 0.75 else 0
+        t = _below(bits, max_threshold + 1)
+        p = 1 + _below(bits, max_period)
+        h = bits(t) if t else 0
+        r = bits(p) if rng.random() < 0.75 else 0
         f = EpSet.from_raw(h, t, p, r)
         if allow_empty or not f.is_empty:
             return f
@@ -114,11 +129,21 @@ def random_closed_family(rng: random.Random, opts: SuiteOptions,
 
 
 def random_element(rng: random.Random, fam, span=20, zero_prob=0.06) -> Element:
+    """A random element of ``fam``, indices within ``+-span``.
+
+    The draws equal the public API's ``rng.randint(-span, span)`` twice and
+    ``rng.choice(fam.nonempty_members)``, value for value and in the state
+    they leave ``rng`` in; they go through :func:`_below` and the trusted
+    ``_triple`` to skip the call layers of ``randint`` and ``Element``.
+    """
     choices = fam.nonempty_members
     if not choices or (fam.has_empty and rng.random() < zero_prob):
         return ZERO
-    return Element(rng.randint(-span, span), rng.randint(-span, span),
-                   rng.choice(choices))
+    bits = rng.getrandbits
+    width = 2 * span + 1
+    i = _below(bits, width) - span
+    j = _below(bits, width) - span
+    return _triple(i, j, choices[_below(bits, len(choices))])
 
 
 class _AnyFamily:
@@ -225,9 +250,10 @@ def suite_inverse_axioms(opts: SuiteOptions) -> SuiteResult:
     rng = _rng(opts, "inverse-axioms")
     families = _fixed_families(opts)
     families += [random_closed_family(rng, opts) for _ in range(8)]
+    ctxs = [SemigroupCtx(fam) for fam in families]
     for n in range(opts.samples):
-        fam = families[n % len(families)]
-        ctx = SemigroupCtx(fam)
+        ctx = ctxs[n % len(ctxs)]
+        fam = ctx.family
         a = random_element(rng, fam, opts.index_span)
         ai = inverse(a)
         tally.check(ctx.mul(ctx.mul(a, ai), a) == a,
@@ -259,9 +285,10 @@ def suite_natural_order(opts: SuiteOptions) -> SuiteResult:
     rng = _rng(opts, "natural-order")
     families = _fixed_families(opts)
     families += [random_closed_family(rng, opts) for _ in range(8)]
+    ctxs = [SemigroupCtx(fam) for fam in families]
     for n in range(opts.samples):
-        fam = families[n % len(families)]
-        ctx = SemigroupCtx(fam)
+        ctx = ctxs[n % len(ctxs)]
+        fam = ctx.family
         b = random_element(rng, fam, opts.index_span)
         if rng.random() < 0.5:
             e = random_element(rng, fam, opts.index_span)
@@ -302,7 +329,66 @@ def _exact_l(ctx, a, b) -> bool:
 def _connects(ctx, c, aa, bb) -> bool:
     # c connects a to b when c*c^-1 == a*a^-1 (``aa``) and c^-1*c == b^-1*b
     # (``bb``); the caller computes both once per search
-    return ctx.mul(c, inverse(c)) == aa and ctx.mul(inverse(c), c) == bb
+    ci = c.inverse()
+    return ctx.mul(c, ci) == aa and ctx.mul(ci, c) == bb
+
+
+# the sweep clamps indices into [-_SWEEP_EDGE, _SWEEP_EDGE] before widening
+# each pair's window by the sweep margin
+_SWEEP_EDGE = 6
+
+
+def _clamp(a: Element) -> Element:
+    e = _SWEEP_EDGE
+    return _triple(max(-e, min(e, a.i)), max(-e, min(e, a.j)), a.fset)
+
+
+def _connecting_table(ctx, members, edge: int) -> set:
+    """Every ``(c*c^-1, c^-1*c)`` for ``c = (p, q, f)`` with ``|p|, |q| <=
+    edge`` and ``f`` in ``members``, as explicit products."""
+    mul = ctx.mul
+    span = range(-edge, edge + 1)
+    table = set()
+    for p in span:
+        for q in span:
+            for f in members:
+                c = _triple(p, q, f)
+                ci = c.inverse()
+                table.add((mul(c, ci), mul(ci, c)))
+    return table
+
+
+def _sweep_family(tally: _Tally, ctx, pairs, margin: int) -> None:
+    """The green suite's from-scratch sweep over one family's clamped pairs.
+
+    R and L search each pair's window, ``[lo, hi]^2 x nonempty members``
+    with ``lo``/``hi`` the pair's extreme indices widened by ``margin``, for
+    ``x`` with ``sa*x == sb`` (``x*sa == sb``) and back.  D looks the pair's
+    ``(sa*sa^-1, sb^-1*sb)`` up in :func:`_connecting_table` over the widest
+    window any pair can have; see :func:`suite_green` for why that verdict
+    equals the per-window search.
+    """
+    members = ctx.family.nonempty_members
+    mul = ctx.mul
+    table = _connecting_table(ctx, members, _SWEEP_EDGE + margin)
+    for sa, sb in pairs:
+        lo = min(sa.i, sa.j, sb.i, sb.j) - margin
+        hi = max(sa.i, sa.j, sb.i, sb.j) + margin
+        cands = [_triple(p, q, f)
+                 for p in range(lo, hi + 1)
+                 for q in range(lo, hi + 1)
+                 for f in members]
+        got_r = (any(mul(sa, x) == sb for x in cands)
+                 and any(mul(sb, y) == sa for y in cands))
+        got_l = (any(mul(x, sa) == sb for x in cands)
+                 and any(mul(y, sb) == sa for y in cands))
+        got_d = (mul(sa, sa.inverse()), mul(sb.inverse(), sb)) in table
+        tally.check(green(sa, sb, "R") == got_r,
+                    lambda sa=sa, sb=sb: f"R sweep disagrees on {sa}, {sb}")
+        tally.check(green(sa, sb, "L") == got_l,
+                    lambda sa=sa, sb=sb: f"L sweep disagrees on {sa}, {sb}")
+        tally.check(green(sa, sb, "D") == got_d,
+                    lambda sa=sa, sb=sb: f"D sweep disagrees on {sa}, {sb}")
 
 
 def suite_green(opts: SuiteOptions) -> SuiteResult:
@@ -311,18 +397,34 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
     For R and L the solvability of ``a*x == b`` reduces exactly to the
     single candidate ``x = a^-1*b``, so the product check is complete, not
     a sampled sweep.  D is checked through connecting elements, J through
-    brute-force shift scans at four times the decision bound, and a
-    bounded structured sweep re-confirms a subsample from scratch.
+    brute-force shift scans at four times the decision bound.
+
+    A bounded structured sweep then re-confirms the first
+    ``opts.sweep_pairs`` pairs of nonzero elements from scratch, with
+    indices clamped into ``[-6, 6]``.  The pairs are collected during the
+    sample loop and swept per family after it (:func:`_sweep_family`), so
+    a sweep failure is reported after every per-sample one.  Each family
+    gets its own table of connecting elements, built once over the widest
+    window and dropped before the next family's.  A pair's D
+    sweep asks whether its ``(sa*sa^-1, sb^-1*sb)`` is in that table.  Every
+    window's candidates lie in the table's, so a hit inside the window is
+    a hit in the table; a hit outside it is a ``c`` with ``c R sa`` and
+    ``c L sb``, so a D witness all the same.  The verdict therefore stays a
+    product-level existence search.  By the product formula the only
+    possible hit is ``(sa.i, sb.j, sa.fset)``, which lies in every pair's
+    window, so the verdict also equals the per-window search's.
     """
     res = SuiteResult("green", opts.seed)
     tally = _Tally(res)
     rng = _rng(opts, "green")
     families = _fixed_families(opts)
     families += [random_closed_family(rng, opts) for _ in range(8)]
+    ctxs = [SemigroupCtx(fam) for fam in families]
+    sweeps = [[] for _ in ctxs]
     swept = 0
     for n in range(opts.samples):
-        fam = families[n % len(families)]
-        ctx = SemigroupCtx(fam)
+        ctx = ctxs[n % len(ctxs)]
+        fam = ctx.family
         a = random_element(rng, fam, opts.index_span, zero_prob=0.03)
         b = random_element(rng, fam, opts.index_span, zero_prob=0.03)
         if rng.random() < 0.4 and not (a.is_zero or b.is_zero):
@@ -355,8 +457,8 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
         if a.is_zero or b.is_zero:
             found = a.is_zero and b.is_zero
         else:
-            aa, bb = ctx.mul(a, inverse(a)), ctx.mul(inverse(b), b)
-            found = any(_connects(ctx, Element(a.i, b.j, f), aa, bb)
+            aa, bb = ctx.mul(a, a.inverse()), ctx.mul(b.inverse(), b)
+            found = any(_connects(ctx, _triple(a.i, b.j, f), aa, bb)
                         for f in fam.nonempty_members)
         tally.check(claimed_d == found,
                     lambda a=a, b=b, claimed_d=claimed_d:
@@ -381,29 +483,13 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
                     f"J criterion says {claimed_j} on {a}, {b} but the "
                     "brute scan disagrees")
 
-        # structured from-scratch sweep on a bounded subsample
         if swept < opts.sweep_pairs and not (a.is_zero or b.is_zero):
-            sa = Element(max(-6, min(6, a.i)), max(-6, min(6, a.j)), a.fset)
-            sb = Element(max(-6, min(6, b.i)), max(-6, min(6, b.j)), b.fset)
             swept += 1
-            lo = min(sa.i, sa.j, sb.i, sb.j) - opts.sweep_margin
-            hi = max(sa.i, sa.j, sb.i, sb.j) + opts.sweep_margin
-            cands = [Element(p, q, f)
-                     for p in range(lo, hi + 1)
-                     for q in range(lo, hi + 1)
-                     for f in fam.nonempty_members]
-            got_r = (any(ctx.mul(sa, x) == sb for x in cands)
-                     and any(ctx.mul(sb, y) == sa for y in cands))
-            got_l = (any(ctx.mul(x, sa) == sb for x in cands)
-                     and any(ctx.mul(y, sb) == sa for y in cands))
-            aa, bb = ctx.mul(sa, inverse(sa)), ctx.mul(inverse(sb), sb)
-            got_d = any(_connects(ctx, c, aa, bb) for c in cands)
-            tally.check(green(sa, sb, "R") == got_r,
-                        lambda sa=sa, sb=sb: f"R sweep disagrees on {sa}, {sb}")
-            tally.check(green(sa, sb, "L") == got_l,
-                        lambda sa=sa, sb=sb: f"L sweep disagrees on {sa}, {sb}")
-            tally.check(green(sa, sb, "D") == got_d,
-                        lambda sa=sa, sb=sb: f"D sweep disagrees on {sa}, {sb}")
+            sweeps[n % len(ctxs)].append((_clamp(a), _clamp(b)))
+
+    for ctx, pairs in zip(ctxs, sweeps):
+        if pairs:
+            _sweep_family(tally, ctx, pairs, opts.sweep_margin)
     return res
 
 
