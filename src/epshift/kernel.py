@@ -14,11 +14,11 @@ at or above ``t``, and ``r == 0`` forces ``p == 1``.  Canonical quadruples
 are equal exactly when the sets are, so equality and hashing are O(1).
 
 All functions here return canonical quadruples and never mutate inputs.
-``epshift._speedups`` provides a compiled drop-in replacement for this
-module; keep the two in sync.
 """
 
 from math import lcm
+
+BACKEND = "pure"
 
 
 def _rot_right(r: int, s: int, p: int) -> int:

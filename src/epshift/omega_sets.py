@@ -161,9 +161,6 @@ class EpSet:
                 return
             n += 1
 
-    def window_mask(self, width: int) -> int:
-        return kernel.window(self._h, self._t, self._p, self._r, width)
-
     def __and__(self, other: "EpSet") -> "EpSet":
         return intersect(self, other)
 

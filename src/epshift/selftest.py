@@ -884,8 +884,3 @@ def run_suite(name: str, opts: Optional[SuiteOptions] = None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {', '.join(sorted(SUITES))}")
     return SUITES[name](opts or SuiteOptions())
-
-
-def run_all(opts: Optional[SuiteOptions] = None) -> List[SuiteResult]:
-    opts = opts or SuiteOptions()
-    return [fn(opts) for fn in SUITES.values()]

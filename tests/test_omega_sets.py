@@ -1,12 +1,13 @@
 """Canonical eventually periodic sets: examples and invariants."""
 
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epshift import _kernel_py
+from epshift import kernel
 from epshift.omega_sets import (EMPTY, EpSet, as_arith_progression,
                                 as_singleton, exists_shift_subset, intersect,
                                 is_inductive, is_subset, shift, union)
@@ -14,11 +15,11 @@ from epshift.omega_sets import (EMPTY, EpSet, as_arith_progression,
 from conftest import epset_members, naive_members, random_epset, random_raw
 
 
-def raws(max_threshold=9, max_period=7):
+def raws(max_threshold=9, max_period=7, true_random=False):
     return st.tuples(
         st.integers(0, max_threshold),
         st.integers(1, max_period),
-        st.randoms(use_true_random=False),
+        st.randoms(use_true_random=true_random),
     ).map(lambda tpr: (
         tpr[2].getrandbits(tpr[0]) if tpr[0] else 0,
         tpr[0],
@@ -29,6 +30,18 @@ def raws(max_threshold=9, max_period=7):
 
 def epsets(**kw):
     return raws(**kw).map(lambda q: EpSet.from_raw(*q))
+
+
+# quadruples within one machine word, and ones whose head and residue masks
+# run past 64 bits; the wide ones take uniform bits, since Hypothesis's own
+# random leaves the high bits of a wide draw almost always zero
+any_raws = st.one_of(raws(),
+                     raws(max_threshold=120, max_period=80, true_random=True))
+
+
+def members_through_tail(q1, q2):
+    """A width past both thresholds and one common period of the tails."""
+    return max(q1[1], q2[1]) + lcm(q1[2], q2[2])
 
 
 # -- construction and canonical form ---------------------------------------
@@ -117,10 +130,10 @@ def test_canon_threshold_matches_bitwise_loop(rng):
         pattern = sum(((r >> (n % p)) & 1) << n for n in range(t))
         h = pattern ^ rng.getrandbits(rng.randint(0, t))
         h |= rng.getrandbits(3) << t
-        assert _kernel_py.canon(h, t, p, r) == loop_canon(h, t, p, r)
+        assert kernel.canon(h, t, p, r) == loop_canon(h, t, p, r)
     for _ in range(2000):
         q = random_raw(rng)
-        assert _kernel_py.canon(*q) == loop_canon(*q)
+        assert kernel.canon(*q) == loop_canon(*q)
 
 
 @given(epsets(), epsets())
@@ -146,13 +159,13 @@ def test_shift_examples():
     assert got == {n for n in range(64) if n + 1 >= 3}
 
 
-@given(epsets(), st.integers(-20, 20))
+@given(any_raws, st.integers(-20, 20))
 @settings(max_examples=400)
-def test_shift_matches_translation(f, d):
-    width = 64
-    expect = {m + d for m in epset_members(f, width + abs(d) + 1)
+def test_shift_matches_translation(q, d):
+    width = max(64, members_through_tail(q, q) + 20)
+    expect = {m + d for m in naive_members(*q, width + abs(d) + 1)
               if 0 <= m + d < width}
-    assert epset_members(shift(f, d), width) == expect
+    assert naive_members(*shift(EpSet.from_raw(*q), d).raw, width) == expect
 
 
 @given(epsets(), st.integers(0, 12), st.integers(0, 12))
@@ -194,13 +207,14 @@ def test_intersect_algebra(f1, f2, f3):
             == intersect(f1, intersect(f2, f3)))
 
 
-@given(epsets(), epsets())
+@given(any_raws, any_raws)
 @settings(max_examples=300)
-def test_intersect_and_union_members(f1, f2):
-    width = 96
-    a, b = epset_members(f1, width), epset_members(f2, width)
-    assert epset_members(intersect(f1, f2), width) == a & b
-    assert epset_members(union(f1, f2), width) == a | b
+def test_intersect_and_union_members(q1, q2):
+    width = max(96, members_through_tail(q1, q2))
+    f1, f2 = EpSet.from_raw(*q1), EpSet.from_raw(*q2)
+    a, b = naive_members(*q1, width), naive_members(*q2, width)
+    assert naive_members(*intersect(f1, f2).raw, width) == a & b
+    assert naive_members(*union(f1, f2).raw, width) == a | b
     assert intersect(f1, f2).period == 1 or (
         (f1.period * f2.period) % intersect(f1, f2).period == 0)
 
@@ -214,13 +228,17 @@ def test_is_subset_examples():
     assert not is_subset(EpSet.ray(1), EpSet.ray(3))
 
 
-@given(epsets(), epsets())
+@given(any_raws, any_raws)
 @settings(max_examples=300)
-def test_is_subset_matches_enumeration(f1, f2):
-    width = 2 * (f1.threshold + f2.threshold
-                 + f1.period * f2.period) + 8
-    assert is_subset(f1, f2) == (epset_members(f1, width)
-                                 <= epset_members(f2, width))
+def test_is_subset_matches_enumeration(q1, q2):
+    # a random pair is rarely one member away from containment, so also
+    # compare q1 with itself with the member just below its threshold flipped
+    h1, t1, p1, r1 = q1
+    near = (h1 ^ (1 << (t1 - 1)), t1, p1, r1) if t1 else q2
+    for a, b in ((q1, q2), (q1, near), (near, q1)):
+        width = members_through_tail(a, b)
+        assert is_subset(EpSet.from_raw(*a), EpSet.from_raw(*b)) == (
+            naive_members(*a, width) <= naive_members(*b, width))
 
 
 def test_exists_shift_subset_examples():
