@@ -50,7 +50,7 @@ def _suite_options(opts: RunOptions):
     from .selftest import SuiteOptions
 
     return SuiteOptions(samples=opts.samples, seed=opts.seed,
-                        window=opts.window, max_family=opts.max_family)
+                        window=opts.window)
 
 
 def _eval_context(factors, opts: RunOptions) -> SemigroupCtx:

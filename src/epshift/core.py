@@ -93,6 +93,13 @@ ZERO = _triple(0, 0, None)
 class SemigroupCtx:
     """Ambient family plus a product-set cache.
 
+    The family need offer only two members: ``has_empty``, whether the
+    empty set belongs to it (and so a zero to the semigroup), and ``in``,
+    whether a set does.  :class:`~epshift.family.Family`,
+    :class:`~epshift.family.SingletonFamily` and the self-test's family of
+    every set are all it takes; classification, and the maps that rest on
+    its report, need a finite ``Family``.
+
     Elements are validated against the family on construction via
     :meth:`element`; the multiplication itself trusts its inputs, which
     keeps the hot path check-free.

@@ -103,21 +103,15 @@ class Family:
 class SingletonFamily:
     """The infinite family of all singletons plus the empty set, symbolically.
 
-    Only membership is decidable; enumeration is refused.  Products of
-    elements over this family only ever intersect shifted singletons, so
-    the semigroup layer works on it unchanged.
+    Only membership is decidable, so it has no length and no iteration.
+    Products of elements over this family only ever intersect shifted
+    singletons, so the semigroup layer works on it unchanged.
     """
 
     has_empty = True
 
     def __contains__(self, f) -> bool:
         return isinstance(f, EpSet) and (f.is_empty or f.size == 1)
-
-    def __len__(self):
-        raise TypeError("singleton family is infinite")
-
-    def __iter__(self):
-        raise TypeError("singleton family is infinite")
 
     def __str__(self) -> str:
         return "family{ all singletons; {} }"

@@ -29,14 +29,6 @@ def _rot_right(r: int, s: int, p: int) -> int:
     return ((r >> s) | (r << (p - s))) & ((1 << p) - 1)
 
 
-def _rot_left(r: int, s: int, p: int) -> int:
-    # bit c of the result is bit (c - s) % p of r
-    s %= p
-    if s == 0:
-        return r
-    return ((r << s) | (r >> (p - s))) & ((1 << p) - 1)
-
-
 def _expand(r: int, p: int, q: int) -> int:
     # replicate a p-periodic pattern to modulus q (p must divide q)
     if p == q:
@@ -89,7 +81,7 @@ def shift(h: int, t: int, p: int, r: int, d: int):
     if d == 0:
         return h, t, p, r
     if d > 0:
-        return canon(h << d, t + d, p, _rot_left(r, d, p))
+        return canon(h << d, t + d, p, _rot_right(r, -d, p))
     s = -d
     t2 = t - s if t > s else 0
     h2 = (h >> s) & ((1 << t2) - 1) if t2 else 0
@@ -132,6 +124,6 @@ def exists_shift_subset(h1, t1, p1, r1, h2, t2, p2, r2):
         return None
     for k in range(t2 + p2):
         # up-shift of (h1, t1, p1, r1) by k, uncanonicalized
-        if subset(h1 << k, t1 + k, p1, _rot_left(r1, k, p1), h2, t2, p2, r2):
+        if subset(h1 << k, t1 + k, p1, _rot_right(r1, -k, p1), h2, t2, p2, r2):
             return k
     return None

@@ -6,6 +6,15 @@ counts each individual assertion, and reports the first failure verbatim.
 The suites cross-check closed-form criteria against independent routes:
 explicit products, pointwise window composition, and brute-force scans
 with widened bounds.
+
+Only the sample count, the seed and the oracle's window are options.  The
+sampling bounds are module constants:
+
+* ``MAX_THRESHOLD`` (8) and ``MAX_PERIOD`` (6) bound each random set,
+* ``INDEX_SPAN`` (20) bounds the indices of each random element,
+* ``FAMILY_CAP`` (16) caps the closure of each random family,
+* ``SWEEP_PAIRS`` (150) pairs are re-checked by the green suite's sweep,
+  each over its indices widened by ``SWEEP_MARGIN`` (2).
 """
 
 from __future__ import annotations
@@ -31,18 +40,19 @@ from .omega_sets import EMPTY, EpSet, exists_shift_subset, is_subset, shift
 from .partial_maps import (PartialShift, compose_shifts,
                            restricted_compose_dom, restricted_compose_dom_closed)
 
+MAX_THRESHOLD = 8
+MAX_PERIOD = 6
+INDEX_SPAN = 20
+FAMILY_CAP = 16
+SWEEP_PAIRS = 150
+SWEEP_MARGIN = 2
+
 
 @dataclass
 class SuiteOptions:
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     window: int = DEFAULT_WINDOW
-    max_family: int = 4096
-    max_threshold: int = 8
-    max_period: int = 6
-    index_span: int = 20
-    sweep_pairs: int = 150
-    sweep_margin: int = 2
 
 
 @dataclass
@@ -57,6 +67,17 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.failures == 0
 
+    def check(self, ok, describe) -> bool:
+        """Count one assertion; ``describe`` (a string or a thunk giving one)
+        is kept for the first failure only."""
+        self.checks += 1
+        if not ok:
+            self.failures += 1
+            if self.first_failure is None:
+                self.first_failure = (
+                    describe() if callable(describe) else str(describe))
+        return bool(ok)
+
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -66,20 +87,6 @@ class SuiteResult:
             "passed": self.passed,
             "first_failure": self.first_failure,
         }
-
-
-class _Tally:
-    def __init__(self, result: SuiteResult):
-        self.result = result
-
-    def check(self, ok, describe) -> bool:
-        self.result.checks += 1
-        if not ok:
-            self.result.failures += 1
-            if self.result.first_failure is None:
-                self.result.first_failure = (
-                    describe() if callable(describe) else str(describe))
-        return bool(ok)
 
 
 def _rng(opts: SuiteOptions, name: str) -> random.Random:
@@ -102,8 +109,8 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def random_epset(rng: random.Random, max_threshold=8, max_period=6,
-                 allow_empty=True) -> EpSet:
+def random_epset(rng: random.Random, max_threshold=MAX_THRESHOLD,
+                 max_period=MAX_PERIOD, allow_empty=True) -> EpSet:
     bits = rng.getrandbits
     while True:
         t = _below(bits, max_threshold + 1)
@@ -115,20 +122,28 @@ def random_epset(rng: random.Random, max_threshold=8, max_period=6,
             return f
 
 
-def random_closed_family(rng: random.Random, opts: SuiteOptions,
-                         max_members: int = 16) -> Family:
+def random_closed_family(rng: random.Random) -> Family:
     for _ in range(64):
-        gens = [random_epset(rng, opts.max_threshold, opts.max_period)
-                for _ in range(rng.randint(1, 3))]
+        gens = [random_epset(rng) for _ in range(rng.randint(1, 3))]
         try:
             # closing with the member budget as the cap keeps bad draws cheap
-            return close(gens, cap=max_members)
+            return close(gens, cap=FAMILY_CAP)
         except ClosureDiverged:
             continue
-    return close([EpSet.ray(rng.randint(0, opts.max_threshold))])
+    return close([EpSet.ray(rng.randint(0, MAX_THRESHOLD))])
 
 
-def random_element(rng: random.Random, fam, span=20, zero_prob=0.06) -> Element:
+def _contexts(rng: random.Random, n: int) -> List[SemigroupCtx]:
+    """A context over each of four fixed families, then over ``n`` random
+    closed ones, drawn from ``rng`` in that order."""
+    families = [close([f]) for f in (EpSet.ray(0), EpSet.of(3),
+                                     EpSet.progression(2, 3), EpSet.of(0, 1))]
+    families += [random_closed_family(rng) for _ in range(n)]
+    return [SemigroupCtx(fam) for fam in families]
+
+
+def random_element(rng: random.Random, fam, span=INDEX_SPAN,
+                   zero_prob=0.06) -> Element:
     """A random element of ``fam``, indices within ``+-span``.
 
     The draws equal the public API's ``rng.randint(-span, span)`` twice and
@@ -147,7 +162,7 @@ def random_element(rng: random.Random, fam, span=20, zero_prob=0.06) -> Element:
 
 
 class _AnyFamily:
-    """Permissive pseudo-family used when a product only needs has_empty."""
+    """A family holding every set, for products that need no family."""
 
     has_empty = True
 
@@ -209,35 +224,23 @@ def _brute_green_j(f1: EpSet, f2: EpSet) -> bool:
 
 # -- suite: associativity ----------------------------------------------------
 
-def _fixed_families(opts: SuiteOptions) -> List[Family]:
-    return [
-        close([EpSet.ray(0)], cap=opts.max_family),
-        close([EpSet.of(3)], cap=opts.max_family),
-        close([EpSet.progression(2, 3)], cap=opts.max_family),
-        close([EpSet.of(0, 1)], cap=opts.max_family),
-    ]
-
-
 def suite_associativity(opts: SuiteOptions) -> SuiteResult:
     """(a*b)*c == a*(b*c) over fixed and randomly closed families."""
     res = SuiteResult("associativity", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "associativity")
-    families = _fixed_families(opts)
-    families += [random_closed_family(rng, opts) for _ in range(20)]
     per_family = max(1, opts.samples)
-    for fam in families:
-        ctx = SemigroupCtx(fam)
+    for ctx in _contexts(rng, 20):
+        fam = ctx.family
         for _ in range(per_family):
-            a = random_element(rng, fam, opts.index_span)
-            b = random_element(rng, fam, opts.index_span)
-            c = random_element(rng, fam, opts.index_span)
+            a = random_element(rng, fam)
+            b = random_element(rng, fam)
+            c = random_element(rng, fam)
             lhs = ctx.mul(ctx.mul(a, b), c)
             rhs = ctx.mul(a, ctx.mul(b, c))
-            tally.check(lhs == rhs,
-                        lambda a=a, b=b, c=c, lhs=lhs, rhs=rhs:
-                        f"associativity broke: ({a}*{b})*{c} = {lhs} "
-                        f"but {a}*({b}*{c}) = {rhs}")
+            res.check(lhs == rhs,
+                      lambda a=a, b=b, c=c, lhs=lhs, rhs=rhs:
+                      f"associativity broke: ({a}*{b})*{c} = {lhs} "
+                      f"but {a}*({b}*{c}) = {rhs}")
     return res
 
 
@@ -246,33 +249,29 @@ def suite_associativity(opts: SuiteOptions) -> SuiteResult:
 def suite_inverse_axioms(opts: SuiteOptions) -> SuiteResult:
     """Inverse axioms, uniqueness of inverses and commuting idempotents."""
     res = SuiteResult("inverse-axioms", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "inverse-axioms")
-    families = _fixed_families(opts)
-    families += [random_closed_family(rng, opts) for _ in range(8)]
-    ctxs = [SemigroupCtx(fam) for fam in families]
+    ctxs = _contexts(rng, 8)
     for n in range(opts.samples):
         ctx = ctxs[n % len(ctxs)]
         fam = ctx.family
-        a = random_element(rng, fam, opts.index_span)
+        a = random_element(rng, fam)
         ai = inverse(a)
-        tally.check(ctx.mul(ctx.mul(a, ai), a) == a,
-                    lambda a=a: f"a*a^-1*a != a for a = {a}")
-        tally.check(ctx.mul(ctx.mul(ai, a), ai) == ai,
-                    lambda a=a: f"a^-1*a*a^-1 != a^-1 for a = {a}")
+        res.check(ctx.mul(ctx.mul(a, ai), a) == a,
+                  lambda a=a: f"a*a^-1*a != a for a = {a}")
+        res.check(ctx.mul(ctx.mul(ai, a), ai) == ai,
+                  lambda a=a: f"a^-1*a*a^-1 != a^-1 for a = {a}")
         # idempotents commute
-        e = random_element(rng, fam, opts.index_span)
-        f = random_element(rng, fam, opts.index_span)
+        e = random_element(rng, fam)
+        f = random_element(rng, fam)
         e = e if e.is_zero else Element(e.i, e.i, e.fset)
         f = f if f.is_zero else Element(f.j, f.j, f.fset)
-        tally.check(ctx.mul(e, f) == ctx.mul(f, e),
-                    lambda e=e, f=f: f"idempotents do not commute: {e}, {f}")
+        res.check(ctx.mul(e, f) == ctx.mul(f, e),
+                  lambda e=e, f=f: f"idempotents do not commute: {e}, {f}")
         # uniqueness: anything acting like an inverse is the inverse
-        x = ai if rng.random() < 0.5 else random_element(rng, fam,
-                                                         opts.index_span)
+        x = ai if rng.random() < 0.5 else random_element(rng, fam)
         if ctx.mul(ctx.mul(a, x), a) == a and ctx.mul(ctx.mul(x, a), x) == x:
-            tally.check(x == ai,
-                        lambda a=a, x=x: f"second inverse {x} found for {a}")
+            res.check(x == ai,
+                      lambda a=a, x=x: f"second inverse {x} found for {a}")
     return res
 
 
@@ -281,35 +280,32 @@ def suite_inverse_axioms(opts: SuiteOptions) -> SuiteResult:
 def suite_natural_order(opts: SuiteOptions) -> SuiteResult:
     """Closed-form order against the definitional check ``a == a*a^-1*b``."""
     res = SuiteResult("natural-order", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "natural-order")
-    families = _fixed_families(opts)
-    families += [random_closed_family(rng, opts) for _ in range(8)]
-    ctxs = [SemigroupCtx(fam) for fam in families]
+    ctxs = _contexts(rng, 8)
     for n in range(opts.samples):
         ctx = ctxs[n % len(ctxs)]
         fam = ctx.family
-        b = random_element(rng, fam, opts.index_span)
+        b = random_element(rng, fam)
         if rng.random() < 0.5:
-            e = random_element(rng, fam, opts.index_span)
+            e = random_element(rng, fam)
             e = e if e.is_zero else Element(e.i, e.i, e.fset)
             a = ctx.mul(b, e)
         else:
-            a = random_element(rng, fam, opts.index_span)
+            a = random_element(rng, fam)
         claimed = natural_leq(a, b)
         definitional = ctx.mul(ctx.mul(a, inverse(a)), b) == a
-        tally.check(claimed == definitional,
-                    lambda a=a, b=b, claimed=claimed:
-                    f"order criterion says {claimed} for {a} vs {b} "
-                    "but the definitional product check disagrees")
+        res.check(claimed == definitional,
+                  lambda a=a, b=b, claimed=claimed:
+                  f"order criterion says {claimed} for {a} vs {b} "
+                  "but the definitional product check disagrees")
         if not a.is_zero and not b.is_zero:
             e1 = Element(a.i, a.i, a.fset)
             e2 = Element(b.i, b.i, b.fset)
-            tally.check(idempotent_leq(e1, e2) == natural_leq(e1, e2),
-                        lambda e1=e1, e2=e2:
-                        f"idempotent order disagrees on {e1}, {e2}")
-        tally.check(natural_leq(ZERO, b) and natural_leq(a, a),
-                    "zero must be the minimum and the order reflexive")
+            res.check(idempotent_leq(e1, e2) == natural_leq(e1, e2),
+                      lambda e1=e1, e2=e2:
+                      f"idempotent order disagrees on {e1}, {e2}")
+        res.check(natural_leq(ZERO, b) and natural_leq(a, a),
+                  "zero must be the minimum and the order reflexive")
     return res
 
 
@@ -334,7 +330,7 @@ def _connects(ctx, c, aa, bb) -> bool:
 
 
 # the sweep clamps indices into [-_SWEEP_EDGE, _SWEEP_EDGE] before widening
-# each pair's window by the sweep margin
+# each pair's window by ``SWEEP_MARGIN``
 _SWEEP_EDGE = 6
 
 
@@ -358,22 +354,23 @@ def _connecting_table(ctx, members, edge: int) -> set:
     return table
 
 
-def _sweep_family(tally: _Tally, ctx, pairs, margin: int) -> None:
+def _sweep_family(res: SuiteResult, ctx, pairs) -> None:
     """The green suite's from-scratch sweep over one family's clamped pairs.
 
     R and L search each pair's window, ``[lo, hi]^2 x nonempty members``
-    with ``lo``/``hi`` the pair's extreme indices widened by ``margin``, for
-    ``x`` with ``sa*x == sb`` (``x*sa == sb``) and back.  D looks the pair's
+    with ``lo``/``hi`` the pair's extreme indices widened by
+    ``SWEEP_MARGIN``, for ``x`` with ``sa*x == sb`` (``x*sa == sb``) and
+    back.  D looks the pair's
     ``(sa*sa^-1, sb^-1*sb)`` up in :func:`_connecting_table` over the widest
     window any pair can have; see :func:`suite_green` for why that verdict
     equals the per-window search.
     """
     members = ctx.family.nonempty_members
     mul = ctx.mul
-    table = _connecting_table(ctx, members, _SWEEP_EDGE + margin)
+    table = _connecting_table(ctx, members, _SWEEP_EDGE + SWEEP_MARGIN)
     for sa, sb in pairs:
-        lo = min(sa.i, sa.j, sb.i, sb.j) - margin
-        hi = max(sa.i, sa.j, sb.i, sb.j) + margin
+        lo = min(sa.i, sa.j, sb.i, sb.j) - SWEEP_MARGIN
+        hi = max(sa.i, sa.j, sb.i, sb.j) + SWEEP_MARGIN
         cands = [_triple(p, q, f)
                  for p in range(lo, hi + 1)
                  for q in range(lo, hi + 1)
@@ -383,12 +380,12 @@ def _sweep_family(tally: _Tally, ctx, pairs, margin: int) -> None:
         got_l = (any(mul(x, sa) == sb for x in cands)
                  and any(mul(y, sb) == sa for y in cands))
         got_d = (mul(sa, sa.inverse()), mul(sb.inverse(), sb)) in table
-        tally.check(green(sa, sb, "R") == got_r,
-                    lambda sa=sa, sb=sb: f"R sweep disagrees on {sa}, {sb}")
-        tally.check(green(sa, sb, "L") == got_l,
-                    lambda sa=sa, sb=sb: f"L sweep disagrees on {sa}, {sb}")
-        tally.check(green(sa, sb, "D") == got_d,
-                    lambda sa=sa, sb=sb: f"D sweep disagrees on {sa}, {sb}")
+        res.check(green(sa, sb, "R") == got_r,
+                  lambda sa=sa, sb=sb: f"R sweep disagrees on {sa}, {sb}")
+        res.check(green(sa, sb, "L") == got_l,
+                  lambda sa=sa, sb=sb: f"L sweep disagrees on {sa}, {sb}")
+        res.check(green(sa, sb, "D") == got_d,
+                  lambda sa=sa, sb=sb: f"D sweep disagrees on {sa}, {sb}")
 
 
 def suite_green(opts: SuiteOptions) -> SuiteResult:
@@ -400,7 +397,7 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
     brute-force shift scans at four times the decision bound.
 
     A bounded structured sweep then re-confirms the first
-    ``opts.sweep_pairs`` pairs of nonzero elements from scratch, with
+    ``SWEEP_PAIRS`` pairs of nonzero elements from scratch, with
     indices clamped into ``[-6, 6]``.  The pairs are collected during the
     sample loop and swept per family after it (:func:`_sweep_family`), so
     a sweep failure is reported after every per-sample one.  Each family
@@ -415,18 +412,15 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
     window, so the verdict also equals the per-window search's.
     """
     res = SuiteResult("green", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "green")
-    families = _fixed_families(opts)
-    families += [random_closed_family(rng, opts) for _ in range(8)]
-    ctxs = [SemigroupCtx(fam) for fam in families]
+    ctxs = _contexts(rng, 8)
     sweeps = [[] for _ in ctxs]
     swept = 0
     for n in range(opts.samples):
         ctx = ctxs[n % len(ctxs)]
         fam = ctx.family
-        a = random_element(rng, fam, opts.index_span, zero_prob=0.03)
-        b = random_element(rng, fam, opts.index_span, zero_prob=0.03)
+        a = random_element(rng, fam, zero_prob=0.03)
+        b = random_element(rng, fam, zero_prob=0.03)
         if rng.random() < 0.4 and not (a.is_zero or b.is_zero):
             # same set, and often a shared index, so true cases are common
             b = Element(a.i if rng.random() < 0.5 else b.i,
@@ -434,24 +428,24 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
 
         for rel, exact in (("R", _exact_r), ("L", _exact_l)):
             claimed = green(a, b, rel)
-            tally.check(claimed == exact(ctx, a, b),
-                        lambda a=a, b=b, rel=rel, claimed=claimed:
-                        f"{rel} criterion says {claimed} on {a}, {b} but "
-                        "the divisibility products disagree")
+            res.check(claimed == exact(ctx, a, b),
+                      lambda a=a, b=b, rel=rel, claimed=claimed:
+                      f"{rel} criterion says {claimed} on {a}, {b} but "
+                      "the divisibility products disagree")
             if claimed and not a.is_zero:
                 x, y = green_witness(a, b, rel)
                 if rel == "R":
                     ok = ctx.mul(a, x) == b and ctx.mul(b, y) == a
                 else:
                     ok = ctx.mul(x, a) == b and ctx.mul(y, b) == a
-                tally.check(ok, lambda a=a, b=b, rel=rel:
-                            f"{rel} witness products failed for {a}, {b}")
+                res.check(ok, lambda a=a, b=b, rel=rel:
+                          f"{rel} witness products failed for {a}, {b}")
 
         claimed_h = green(a, b, "H")
-        tally.check(claimed_h == (green(a, b, "R") and green(a, b, "L")),
-                    "H must be R meet L")
-        tally.check(claimed_h == (a == b),
-                    lambda a=a, b=b: f"H-related but distinct: {a}, {b}")
+        res.check(claimed_h == (green(a, b, "R") and green(a, b, "L")),
+                  "H must be R meet L")
+        res.check(claimed_h == (a == b),
+                  lambda a=a, b=b: f"H-related but distinct: {a}, {b}")
 
         claimed_d = green(a, b, "D")
         if a.is_zero or b.is_zero:
@@ -460,10 +454,10 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
             aa, bb = ctx.mul(a, a.inverse()), ctx.mul(b.inverse(), b)
             found = any(_connects(ctx, _triple(a.i, b.j, f), aa, bb)
                         for f in fam.nonempty_members)
-        tally.check(claimed_d == found,
-                    lambda a=a, b=b, claimed_d=claimed_d:
-                    f"D criterion says {claimed_d} on {a}, {b} but the "
-                    "connecting-element search disagrees")
+        res.check(claimed_d == found,
+                  lambda a=a, b=b, claimed_d=claimed_d:
+                  f"D criterion says {claimed_d} on {a}, {b} but the "
+                  "connecting-element search disagrees")
 
         claimed_j = green(a, b, "J")
         if a.is_zero or b.is_zero:
@@ -474,22 +468,22 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
                 bound = decision_bound(a.fset, b.fset)
                 k = brute_least_shift_subset(a.fset, b.fset, 4 * bound)
                 dominated = Element(b.i + k, b.j + k, a.fset)
-                tally.check(
+                res.check(
                     ctx.mul(ctx.mul(dominated, inverse(dominated)), b)
                     == dominated and green(dominated, a, "D"),
                     lambda a=a, b=b: f"domination witness failed on {a}, {b}")
-        tally.check(claimed_j == brute_j,
-                    lambda a=a, b=b, claimed_j=claimed_j:
-                    f"J criterion says {claimed_j} on {a}, {b} but the "
-                    "brute scan disagrees")
+        res.check(claimed_j == brute_j,
+                  lambda a=a, b=b, claimed_j=claimed_j:
+                  f"J criterion says {claimed_j} on {a}, {b} but the "
+                  "brute scan disagrees")
 
-        if swept < opts.sweep_pairs and not (a.is_zero or b.is_zero):
+        if swept < SWEEP_PAIRS and not (a.is_zero or b.is_zero):
             swept += 1
             sweeps[n % len(ctxs)].append((_clamp(a), _clamp(b)))
 
     for ctx, pairs in zip(ctxs, sweeps):
         if pairs:
-            _sweep_family(tally, ctx, pairs, opts.sweep_margin)
+            _sweep_family(res, ctx, pairs)
     return res
 
 
@@ -498,17 +492,16 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
 def suite_oracle(opts: SuiteOptions) -> SuiteResult:
     """Triple product against pointwise composition of restricted shifts."""
     res = SuiteResult("oracle", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "oracle")
     ctx = _free_ctx()
     for _ in range(opts.samples):
         a = PartialShift(rng.randint(-16, 16), rng.randint(-16, 16))
         b = PartialShift(rng.randint(-16, 16), rng.randint(-16, 16))
-        f1 = random_epset(rng, opts.max_threshold, opts.max_period)
-        f2 = random_epset(rng, opts.max_threshold, opts.max_period)
+        f1 = random_epset(rng)
+        f2 = random_epset(rng)
 
         # commuting square: composing shifts matches the pair product
-        tally.check(
+        res.check(
             partial_shift_iso(compose_shifts(a, b))
             == ext_bicyclic_mul(partial_shift_iso(a), partial_shift_iso(b)),
             lambda a=a, b=b: f"index composition square broke on {a}, {b}")
@@ -527,26 +520,26 @@ def suite_oracle(opts: SuiteOptions) -> SuiteResult:
                           f2.threshold + 2 * f2.period) + 16)
         pointwise = restricted_compose_dom(a, f1, b, f2, width)
         if prod.is_zero:
-            tally.check(not pointwise,
-                        lambda ea=ea, eb=eb:
-                        f"{ea}*{eb} collapsed to zero but the pointwise "
-                        "domain is nonempty")
+            res.check(not pointwise,
+                      lambda ea=ea, eb=eb:
+                      f"{ea}*{eb} collapsed to zero but the pointwise "
+                      "domain is nonempty")
             continue
-        tally.check((prod.i, prod.j) == (comp.i, comp.j),
-                    lambda ea=ea, eb=eb, prod=prod, comp=comp:
-                    f"indices of {ea}*{eb} = {prod} disagree with {comp}")
+        res.check((prod.i, prod.j) == (comp.i, comp.j),
+                  lambda ea=ea, eb=eb, prod=prod, comp=comp:
+                  f"indices of {ea}*{eb} = {prod} disagree with {comp}")
         translated = frozenset(
             prod.i + m
             for m in prod.fset.members(width - prod.i + 1)
             if -width <= prod.i + m <= width)
-        tally.check(translated == pointwise,
-                    lambda ea=ea, eb=eb:
-                    f"set component of {ea}*{eb} disagrees with the "
-                    "pointwise composition domain")
+        res.check(translated == pointwise,
+                  lambda ea=ea, eb=eb:
+                  f"set component of {ea}*{eb} disagrees with the "
+                  "pointwise composition domain")
         base, s = restricted_compose_dom_closed(a, f1, b, f2)
-        tally.check(base == prod.i and s == prod.fset,
-                    lambda ea=ea, eb=eb:
-                    f"closed-form domain disagrees with product on {ea}, {eb}")
+        res.check(base == prod.i and s == prod.fset,
+                  lambda ea=ea, eb=eb:
+                  f"closed-form domain disagrees with product on {ea}, {eb}")
     return res
 
 
@@ -555,107 +548,107 @@ def suite_oracle(opts: SuiteOptions) -> SuiteResult:
 def suite_classification(opts: SuiteOptions) -> SuiteResult:
     """Golden structure verdicts plus randomized cross-validation."""
     res = SuiteResult("classification", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "classification")
 
     for k in (0, 1, 2, 5, 8):
         r = classify(SemigroupCtx(close([EpSet.ray(k)])))
-        tally.check(
+        res.check(
             r.iso_type == ISO_EXTENDED_BICYCLIC and r.bisimple and r.simple
             and r.e_unitary and not r.has_zero and r.d_classes == 1,
             f"ray family [{k}) misclassified: {r.iso_type}")
     for k in (0, 1, 3, 5, 7):
         r = classify(SemigroupCtx(close([EpSet.of(k)])))
-        tally.check(
+        res.check(
             r.iso_type == ISO_MATRIX_UNITS and r.iso_params == (k,)
             and r.zero_bisimple and r.zero_simple and not r.simple
             and not r.e_unitary,
             f"singleton family {{{k}}} misclassified: {r.iso_type}")
     for i0, j0 in ((2, 3), (0, 2), (1, 4), (3, 1), (5, 5)):
         r = classify(SemigroupCtx(Family([EMPTY, EpSet.progression(i0, j0)])))
-        tally.check(
+        res.check(
             r.iso_type == ISO_PROGRESSION and r.iso_params == (i0, j0)
             and r.zero_bisimple and r.has_zero,
             f"progression family {i0}+{j0}*w misclassified: "
             f"{r.iso_type}{r.iso_params}")
     r = classify(SemigroupCtx(Family([EMPTY])))
-    tally.check(r.iso_type == ISO_TRIVIAL and r.has_identity and r.bisimple,
-                f"trivial family misclassified: {r.iso_type}")
+    res.check(r.iso_type == ISO_TRIVIAL and r.has_identity and r.bisimple,
+              f"trivial family misclassified: {r.iso_type}")
 
     per_family = max(1, opts.samples // 24)
     for _ in range(24):
-        fam = random_closed_family(rng, opts)
+        fam = random_closed_family(rng)
         ctx = SemigroupCtx(fam)
         r = classify(ctx)
-        reps = [Element(0, 0, f) for f in fam.nonempty_members]
-        all_j = all(green(x, y, "J") for x in reps for y in reps)
+        members = fam.nonempty_members
+        # the brute scans, not the kernel's shift search that classify uses
+        all_j = all(_brute_green_j(f, g) for f in members for g in members)
         if r.has_zero:
-            tally.check(r.zero_simple == (bool(reps) and all_j),
-                        lambda fam=fam: f"zero-simplicity disagrees with "
-                        f"J-universality on {fam}")
-            tally.check(not r.simple, "a semigroup with zero is not simple")
+            res.check(r.zero_simple == (bool(members) and all_j),
+                      lambda fam=fam: f"zero-simplicity disagrees with "
+                      f"J-universality on {fam}")
+            res.check(not r.simple, "a semigroup with zero is not simple")
         else:
-            tally.check(r.simple == all_j,
-                        lambda fam=fam: f"simplicity disagrees with "
-                        f"J-universality on {fam}")
-        tally.check(r.d_classes == d_class_count(ctx) == len(fam.nonempty_members),
-                    "D-class count mismatch")
+            res.check(r.simple == all_j,
+                      lambda fam=fam: f"simplicity disagrees with "
+                      f"J-universality on {fam}")
+        res.check(r.d_classes == d_class_count(ctx) == len(members),
+                  "D-class count mismatch")
 
         for _ in range(per_family):
-            a = random_element(rng, fam, opts.index_span)
-            b = random_element(rng, fam, opts.index_span)
+            a = random_element(rng, fam)
+            b = random_element(rng, fam)
             if r.bisimple:
-                tally.check(green(a, b, "D"),
-                            lambda a=a, b=b: f"bisimple family but {a}, {b} "
-                            "are not D-related")
+                res.check(green(a, b, "D"),
+                          lambda a=a, b=b: f"bisimple family but {a}, {b} "
+                          "are not D-related")
             # E-unitarity scan: idempotents sitting below s
-            s = random_element(rng, fam, opts.index_span)
+            s = random_element(rng, fam)
             below = []
             if fam.has_empty:
                 below.append(ZERO)
             if not s.is_zero:
                 for k in range(3):
-                    for f in fam.nonempty_members:
+                    for f in members:
                         e = Element(s.i + k, s.i + k, f)
                         if natural_leq(e, s):
                             below.append(e)
             for e in below:
                 if not is_idempotent(s):
-                    tally.check(not r.e_unitary,
-                                lambda s=s, e=e:
-                                f"claimed E-unitary yet {e} <= {s} with {s} "
-                                "not idempotent")
+                    res.check(not r.e_unitary,
+                              lambda s=s, e=e:
+                              f"claimed E-unitary yet {e} <= {s} with {s} "
+                              "not idempotent")
             # identity probes
-            if not r.has_identity and fam.nonempty_members:
-                f = rng.choice(fam.nonempty_members)
-                i = rng.randint(-opts.index_span, opts.index_span)
+            if not r.has_identity and members:
+                f = rng.choice(members)
+                i = rng.randint(-INDEX_SPAN, INDEX_SPAN)
                 e = Element(i, i, f)
                 x = Element(i - 1, i - 1, f)
-                tally.check(ctx.mul(e, x) != x,
-                            lambda e=e, x=x: f"identity candidate {e} "
-                            f"unexpectedly fixes {x}")
+                res.check(ctx.mul(e, x) != x,
+                          lambda e=e, x=x: f"identity candidate {e} "
+                          f"unexpectedly fixes {x}")
         if not r.bisimple:
             f1, f2 = fam.members[0], fam.members[1]
             x = ZERO if f1.is_empty else Element(0, 0, f1)
             y = ZERO if f2.is_empty else Element(0, 0, f2)
-            tally.check(not green(x, y, "D"),
-                        "non-bisimple family with D-universal witnesses")
+            res.check(not green(x, y, "D"),
+                      "non-bisimple family with D-universal witnesses")
     return res
 
 
 # -- suite: morphisms -----------------------------------------------------------
 
-def _hom_sigma(tally: _Tally, rng: random.Random, opts: SuiteOptions):
+def _hom_sigma(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
     k = rng.randint(0, 4)
     fam = close([EpSet.ray(k)]) if rng.random() < 0.5 else Family(
         [EpSet.ray(j) for j in range(k, k + rng.randint(1, 3))])
     ctx = SemigroupCtx(fam)
     for _ in range(opts.samples):
-        a = random_element(rng, fam, opts.index_span)
-        b = random_element(rng, fam, opts.index_span)
-        tally.check(sigma_hom(ctx.mul(a, b), ctx)
-                    == sigma_hom(a, ctx) + sigma_hom(b, ctx),
-                    lambda a=a, b=b: f"sigma not additive on {a}, {b}")
+        a = random_element(rng, fam)
+        b = random_element(rng, fam)
+        res.check(sigma_hom(ctx.mul(a, b), ctx)
+                  == sigma_hom(a, ctx) + sigma_hom(b, ctx),
+                  lambda a=a, b=b: f"sigma not additive on {a}, {b}")
         # congruence classes are the fibers: scan for a merging idempotent
         same = sigma_hom(a, ctx) == sigma_hom(b, ctx)
         hi = max(a.i, b.i)
@@ -664,13 +657,14 @@ def _hom_sigma(tally: _Tally, rng: random.Random, opts: SuiteOptions):
             for m in range(hi, hi + 3)
             for f in fam.members
             for e in (Element(m, m, f),))
-        tally.check(same == merged,
-                    lambda a=a, b=b, same=same:
-                    f"sigma classes say {same} on {a}, {b} but the "
-                    "merging-idempotent scan disagrees")
+        res.check(same == merged,
+                  lambda a=a, b=b, same=same:
+                  f"sigma classes say {same} on {a}, {b} but the "
+                  "merging-idempotent scan disagrees")
 
 
-def _hom_ext_bicyclic(tally: _Tally, rng: random.Random, opts: SuiteOptions):
+def _hom_ext_bicyclic(res: SuiteResult, rng: random.Random,
+                      opts: SuiteOptions):
     k = rng.randint(0, 6)
     ctx = SemigroupCtx(close([EpSet.ray(k)]))
     f = ctx.family.members[0]
@@ -678,24 +672,25 @@ def _hom_ext_bicyclic(tally: _Tally, rng: random.Random, opts: SuiteOptions):
         a = Element(rng.randint(-20, 20), rng.randint(-20, 20), f)
         b = Element(rng.randint(-20, 20), rng.randint(-20, 20), f)
         fa, fb = to_ext_bicyclic(ctx, a), to_ext_bicyclic(ctx, b)
-        tally.check(to_ext_bicyclic(ctx, ctx.mul(a, b))
-                    == ext_bicyclic_mul(fa, fb),
-                    lambda a=a, b=b: f"pair map not a homomorphism on {a}, {b}")
-        tally.check((fa == fb) == (a == b), "pair map must be injective")
+        res.check(to_ext_bicyclic(ctx, ctx.mul(a, b))
+                  == ext_bicyclic_mul(fa, fb),
+                  lambda a=a, b=b: f"pair map not a homomorphism on {a}, {b}")
+        res.check((fa == fb) == (a == b), "pair map must be injective")
         # surjectivity: explicit preimage
         tgt = ExtBicyclicElt(rng.randint(-20, 20), rng.randint(-20, 20))
-        tally.check(to_ext_bicyclic(ctx, Element(tgt.i, tgt.j, f)) == tgt,
-                    "pair map must be surjective")
+        res.check(to_ext_bicyclic(ctx, Element(tgt.i, tgt.j, f)) == tgt,
+                  "pair map must be surjective")
         s1 = PartialShift(rng.randint(-16, 16), rng.randint(-16, 16))
         s2 = PartialShift(rng.randint(-16, 16), rng.randint(-16, 16))
-        tally.check(partial_shift_iso(compose_shifts(s1, s2))
-                    == ext_bicyclic_mul(partial_shift_iso(s1),
-                                        partial_shift_iso(s2)),
-                    lambda s1=s1, s2=s2:
-                    f"shift composition square broke on {s1}, {s2}")
+        res.check(partial_shift_iso(compose_shifts(s1, s2))
+                  == ext_bicyclic_mul(partial_shift_iso(s1),
+                                      partial_shift_iso(s2)),
+                  lambda s1=s1, s2=s2:
+                  f"shift composition square broke on {s1}, {s2}")
 
 
-def _hom_matrix_units(tally: _Tally, rng: random.Random, opts: SuiteOptions):
+def _hom_matrix_units(res: SuiteResult, rng: random.Random,
+                      opts: SuiteOptions):
     k = rng.randint(0, 8)
     ctx = SemigroupCtx(close([EpSet.of(k)]))
     fset = EpSet.of(k)
@@ -708,18 +703,18 @@ def _hom_matrix_units(tally: _Tally, rng: random.Random, opts: SuiteOptions):
         if rng.random() < 0.5 and not (a.is_zero or b.is_zero):
             b = Element(a.j, b.j, fset)  # hit the nonzero product case
         fa, fb = to_matrix_units(ctx, a), to_matrix_units(ctx, b)
-        tally.check(to_matrix_units(ctx, ctx.mul(a, b))
-                    == matrix_unit_mul(fa, fb),
-                    lambda a=a, b=b:
-                    f"matrix-unit map not a homomorphism on {a}, {b}")
+        res.check(to_matrix_units(ctx, ctx.mul(a, b))
+                  == matrix_unit_mul(fa, fb),
+                  lambda a=a, b=b:
+                  f"matrix-unit map not a homomorphism on {a}, {b}")
         na, nb = to_matrix_units_nat(ctx, a), to_matrix_units_nat(ctx, b)
-        tally.check(to_matrix_units_nat(ctx, ctx.mul(a, b))
-                    == matrix_unit_mul(na, nb),
-                    "natural-indexed matrix-unit map not a homomorphism")
-        tally.check((fa == fb) == (a == b), "matrix-unit map must be injective")
+        res.check(to_matrix_units_nat(ctx, ctx.mul(a, b))
+                  == matrix_unit_mul(na, nb),
+                  "natural-indexed matrix-unit map not a homomorphism")
+        res.check((fa == fb) == (a == b), "matrix-unit map must be injective")
 
 
-def _hom_brandt(tally: _Tally, rng: random.Random, opts: SuiteOptions):
+def _hom_brandt(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
     ctx = singleton_ctx()
     hits: Dict[tuple, int] = {}
     splits = [(case, match) for case in (-1, 0, 1) for match in (False, True)]
@@ -754,22 +749,22 @@ def _hom_brandt(tally: _Tally, rng: random.Random, opts: SuiteOptions):
             (case, a.j + k1 == b.i + k2), 0) + 1
         lhs = to_brandt(ctx.mul(a, b))
         rhs = brandt_mul(to_brandt(a), to_brandt(b))
-        tally.check(lhs == rhs,
-                    lambda a=a, b=b, lhs=lhs, rhs=rhs:
-                    f"triple map not a homomorphism on {a}, {b}: "
-                    f"{lhs} vs {rhs}")
-    tally.check(len(hits) == min(len(splits), opts.samples),
-                f"not all six product case splits were exercised: {sorted(hits)}")
+        res.check(lhs == rhs,
+                  lambda a=a, b=b, lhs=lhs, rhs=rhs:
+                  f"triple map not a homomorphism on {a}, {b}: "
+                  f"{lhs} vs {rhs}")
+    res.check(len(hits) == min(len(splits), opts.samples),
+              f"not all six product case splits were exercised: {sorted(hits)}")
     # surjectivity: explicit preimages of random codomain triples
     for _ in range(min(opts.samples, 500)):
         left, mid = rng.randint(-12, 12), rng.randint(0, 10)
         right = rng.randint(-12, 12)
         pre = Element(left - mid, right - mid, EpSet.of(mid))
-        tally.check(to_brandt(pre) == BrandtElt(left, mid, right),
-                    "triple map must be surjective")
+        res.check(to_brandt(pre) == BrandtElt(left, mid, right),
+                  "triple map must be surjective")
 
 
-def _hom_reindex(tally: _Tally, rng: random.Random, opts: SuiteOptions):
+def _hom_reindex(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
     j0 = rng.randint(1, 5)
     i1, i2 = rng.randint(0, 8), rng.randint(0, 8)
     c1 = SemigroupCtx(Family([EMPTY, EpSet.progression(i1, j0)]))
@@ -783,12 +778,12 @@ def _hom_reindex(tally: _Tally, rng: random.Random, opts: SuiteOptions):
         a, b = rnd(), rnd()
         fa = progression_reindex(a, i1, i2, j0)
         fb = progression_reindex(b, i1, i2, j0)
-        tally.check(progression_reindex(c1.mul(a, b), i1, i2, j0)
-                    == c2.mul(fa, fb),
-                    lambda a=a, b=b:
-                    f"progression reindexing not a homomorphism on {a}, {b}")
-    tally.check(progression_reindex(ZERO, i1, i2, j0) is ZERO,
-                "reindexing must fix the zero")
+        res.check(progression_reindex(c1.mul(a, b), i1, i2, j0)
+                  == c2.mul(fa, fb),
+                  lambda a=a, b=b:
+                  f"progression reindexing not a homomorphism on {a}, {b}")
+    res.check(progression_reindex(ZERO, i1, i2, j0) is ZERO,
+              "reindexing must fix the zero")
 
 
 _HOM_SUITES: Dict[str, Callable] = {
@@ -803,17 +798,16 @@ _HOM_SUITES: Dict[str, Callable] = {
 
 def run_check_hom(name: str, opts: SuiteOptions) -> SuiteResult:
     res = SuiteResult(f"hom-{name}", opts.seed)
-    _HOM_SUITES[name](_Tally(res), _rng(opts, f"hom-{name}"), opts)
+    _HOM_SUITES[name](res, _rng(opts, f"hom-{name}"), opts)
     return res
 
 
 def suite_morphisms(opts: SuiteOptions) -> SuiteResult:
     """Homomorphism, injectivity and surjectivity checks for every map."""
     res = SuiteResult("morphisms", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "morphisms")
     for name in ("sigma", "ext-bicyclic", "matrix-units", "brandt", "reindex"):
-        _HOM_SUITES[name](tally, rng, opts)
+        _HOM_SUITES[name](res, rng, opts)
     return res
 
 
@@ -822,46 +816,43 @@ def suite_morphisms(opts: SuiteOptions) -> SuiteResult:
 def suite_family_machinery(opts: SuiteOptions) -> SuiteResult:
     """Closure really closes, and bounded scans match widened brute force."""
     res = SuiteResult("family-machinery", opts.seed)
-    tally = _Tally(res)
     rng = _rng(opts, "family-machinery")
     done = 0
     while done < 100:
-        gens = [random_epset(rng, opts.max_threshold, opts.max_period)
+        gens = [random_epset(rng)
                 for _ in range(rng.randint(1, 3))]
         try:
             # the sampling contract keeps random families small
-            fam = close(gens, cap=16)
+            fam = close(gens, cap=FAMILY_CAP)
         except ClosureDiverged:
             continue
         done += 1
         ok, witness = is_omega_closed(fam.members)
-        tally.check(ok, lambda gens=gens, witness=witness:
-                    f"closure of {[str(g) for g in gens]} not closed: "
-                    f"witness {witness}")
-        tally.check(close(fam.members, cap=len(fam) + 1) == fam,
-                    "closure must be idempotent")
+        res.check(ok, lambda gens=gens, witness=witness:
+                  f"closure of {[str(g) for g in gens]} not closed: "
+                  f"witness {witness}")
+        res.check(close(fam.members, cap=len(fam) + 1) == fam,
+                  "closure must be idempotent")
         try:
-            bigger = close(list(gens) + [random_epset(rng, opts.max_threshold,
-                                                      opts.max_period)],
-                           cap=64)
+            bigger = close(list(gens) + [random_epset(rng)], cap=64)
         except ClosureDiverged:
             pass
         else:
-            tally.check(all(f in bigger for f in fam.members),
-                        "closure must be monotone in its generators")
+            res.check(all(f in bigger for f in fam.members),
+                      "closure must be monotone in its generators")
     for _ in range(opts.samples):
-        f1 = random_epset(rng, opts.max_threshold, opts.max_period)
-        f2 = random_epset(rng, opts.max_threshold, opts.max_period)
+        f1 = random_epset(rng)
+        f2 = random_epset(rng)
         bound = decision_bound(f1, f2)
         got = exists_shift_subset(f1, f2)
         brute = brute_least_shift_subset(f1, f2, 4 * bound)
-        tally.check(got == brute,
-                    lambda f1=f1, f2=f2, got=got, brute=brute:
-                    f"shift-containment scan: {got} vs brute {brute} "
-                    f"on {f1}, {f2}")
+        res.check(got == brute,
+                  lambda f1=f1, f2=f2, got=got, brute=brute:
+                  f"shift-containment scan: {got} vs brute {brute} "
+                  f"on {f1}, {f2}")
         if got is not None:
-            tally.check(is_subset(shift(f1, got), f2),
-                        "reported shift does not actually embed")
+            res.check(is_subset(shift(f1, got), f2),
+                      "reported shift does not actually embed")
     return res
 
 

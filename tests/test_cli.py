@@ -217,6 +217,10 @@ def test_smallest_flag_values_still_run(capsys):
     assert code == 0 and json.loads(out)["result"]["size"] == 1
     code, out = run_cli(capsys, "--samples", "0", "selftest", "green")
     assert code == 0 and json.loads(out)["result"]["passed"] is True
+    # the cap is for the command's own input, not the harness's families
+    code, out = run_cli(capsys, "--max-family", "1", "--samples", "5",
+                        "selftest")
+    assert code == 0 and json.loads(out)["result"]["passed"] is True
     code, out = run_cli(capsys, "--window", "1", "--samples", "20",
                         "oracle-check")
     assert code == 0 and json.loads(out)["result"]["passed"] is True

@@ -14,13 +14,18 @@ import epshift.selftest as selftest
 from epshift.core import ZERO, Element, SemigroupCtx, green
 from epshift.family import close
 from epshift.omega_sets import EMPTY, EpSet
-from epshift.selftest import (SuiteOptions, SuiteResult, _below, _clamp,
-                              _connecting_table, _connects, _fixed_families,
-                              _sweep_family, _Tally, random_closed_family,
+from epshift.selftest import (SWEEP_MARGIN, SuiteResult, _below, _clamp,
+                              _connecting_table, _connects, _contexts,
+                              _sweep_family, random_closed_family,
                               random_element, random_epset)
 
 SEEDS = range(200)
 RANGES = [(-20, 20), (0, 8), (1, 6), (0, 0), (0, 31), (0, 32), (-16, 16)]
+
+
+def fixed_families():
+    # with no random families asked for, the builder draws nothing
+    return [ctx.family for ctx in _contexts(random.Random(0), 0)]
 
 
 # -- draws -----------------------------------------------------------------------
@@ -80,9 +85,8 @@ def test_random_epset_equals_the_public_draws():
 
 
 def test_random_element_equals_the_public_draws():
-    opts = SuiteOptions()
-    families = _fixed_families(opts)
-    families += [random_closed_family(random.Random(s), opts) for s in range(6)]
+    families = fixed_families()
+    families += [random_closed_family(random.Random(s)) for s in range(6)]
     families.append(close([EpSet.progression(1, 2), EMPTY]))
     assert any(f.has_empty for f in families)
     assert any(not f.nonempty_members for f in families)
@@ -99,14 +103,10 @@ def test_random_element_equals_the_public_draws():
 
 # -- the green sweep -------------------------------------------------------------
 
-MARGIN = SuiteOptions().sweep_margin
-
-
 def sweep_families():
-    opts = SuiteOptions()
-    randoms = [random_closed_family(random.Random(s), opts) for s in (0, 1, 3)]
+    randoms = [random_closed_family(random.Random(s)) for s in (0, 1, 3)]
     assert all(f.nonempty_members for f in randoms)
-    return _fixed_families(opts) + randoms
+    return fixed_families() + randoms
 
 
 def sweep_pairs(fam, seed, count=12):
@@ -124,7 +124,7 @@ def sweep_pairs(fam, seed, count=12):
 
 def run_sweep(fam, pairs):
     res = SuiteResult("green", 0)
-    _sweep_family(_Tally(res), SemigroupCtx(fam), pairs, MARGIN)
+    _sweep_family(res, SemigroupCtx(fam), pairs)
     return res
 
 
@@ -151,8 +151,8 @@ def test_sweep_catches_a_wrong_criterion(monkeypatch, rel):
 
 def window_d(ctx, fam, sa, sb):
     # the per-window connecting-element scan the table replaced
-    lo = min(sa.i, sa.j, sb.i, sb.j) - MARGIN
-    hi = max(sa.i, sa.j, sb.i, sb.j) + MARGIN
+    lo = min(sa.i, sa.j, sb.i, sb.j) - SWEEP_MARGIN
+    hi = max(sa.i, sa.j, sb.i, sb.j) + SWEEP_MARGIN
     aa, bb = ctx.mul(sa, sa.inverse()), ctx.mul(sb.inverse(), sb)
     return any(_connects(ctx, Element(p, q, f), aa, bb)
                for p in range(lo, hi + 1)
@@ -162,9 +162,10 @@ def window_d(ctx, fam, sa, sb):
 
 def test_table_d_verdict_equals_the_window_scan():
     grid = (-6, -1, 4)
-    for fam in _fixed_families(SuiteOptions()):
+    for fam in fixed_families():
         ctx = SemigroupCtx(fam)
-        table = _connecting_table(ctx, fam.nonempty_members, 6 + MARGIN)
+        table = _connecting_table(ctx, fam.nonempty_members,
+                                  6 + SWEEP_MARGIN)
         elems = [Element(i, j, f) for i in grid for j in grid
                  for f in fam.nonempty_members]
         verdicts = set()
