@@ -9,8 +9,19 @@ One command per invocation, JSON on stdout.  Commands:
 * ``order <a> <b>``                        natural partial order query
 * ``map <name> <element>``                 apply a named morphism
 * ``check-hom <name>``                     verify one morphism suite
-* ``oracle-check``                         product vs pointwise composition
+* ``oracle-check``                         same as ``selftest oracle``
 * ``selftest [<suite>]``                   run the verification suites
+
+Flags go anywhere on the line, as ``--flag N`` or ``--flag=N``:
+
+* ``--seed N``          seed for the sampled suites (default 7)
+* ``--samples N``       sample count per sampled suite (default 10000)
+* ``--max-family N``    closure member cap for the input (default 4096)
+* ``--pretty``          indent the JSON output
+* ``-h``, ``--help``    print this text
+
+A value that is not an integer, ``--max-family`` below 1 or ``--samples``
+below 0 is an ``invalid_value`` error.
 
 Exit codes: 0 ok, 1 domain error or exhausted memory or recursion,
 2 syntax error, 3 self-test failure.
@@ -18,7 +29,6 @@ Exit codes: 0 ok, 1 domain error or exhausted memory or recursion,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import namedtuple
@@ -28,7 +38,7 @@ from .core import SemigroupCtx, green, green_witness
 from .core import natural_leq as _natural_leq
 from .errors import DomainError, ParseError
 from .family import (DEFAULT_CLOSURE_CAP, DEFAULT_SAMPLES, DEFAULT_SEED,
-                     DEFAULT_WINDOW, Family, close)
+                     Family, close)
 from .omega_sets import EMPTY
 
 # Each command imports the heavier modules it runs (``classify``,
@@ -41,16 +51,21 @@ EXIT_SELFTEST = 3
 
 
 RunOptions = namedtuple(
-    "RunOptions", "seed samples window max_family pretty",
-    defaults=(DEFAULT_SEED, DEFAULT_SAMPLES, DEFAULT_WINDOW,
-              DEFAULT_CLOSURE_CAP, False))
+    "RunOptions", "seed samples max_family pretty",
+    defaults=(DEFAULT_SEED, DEFAULT_SAMPLES, DEFAULT_CLOSURE_CAP, False))
+
+# the integer flags and the RunOptions field each one sets
+_INT_FLAGS = {"--seed": "seed", "--samples": "samples",
+              "--max-family": "max_family"}
+
+_USAGE = ("usage: epshift [--seed N] [--samples N] [--max-family N] "
+         "[--pretty] <command>")
 
 
 def _suite_options(opts: RunOptions):
     from .selftest import SuiteOptions
 
-    return SuiteOptions(samples=opts.samples, seed=opts.seed,
-                        window=opts.window)
+    return SuiteOptions(samples=opts.samples, seed=opts.seed)
 
 
 def _eval_context(factors, opts: RunOptions) -> SemigroupCtx:
@@ -62,10 +77,7 @@ def _eval_context(factors, opts: RunOptions) -> SemigroupCtx:
 
 def _run_eval(cmd, opts: RunOptions):
     ctx = _eval_context(cmd.factors, opts)
-    acc = cmd.factors[0]
-    for f in cmd.factors[1:]:
-        acc = ctx.mul(acc, f)
-    return {"result": str(acc)}
+    return {"result": str(ctx.mul_all(*cmd.factors))}
 
 
 def _run_closure(cmd, opts: RunOptions):
@@ -139,13 +151,6 @@ def _run_check_hom(cmd, opts: RunOptions):
     return {"result": _suite_payload([res])}
 
 
-def _run_oracle_check(cmd, opts: RunOptions):
-    from .selftest import suite_oracle
-
-    res = suite_oracle(_suite_options(opts))
-    return {"result": _suite_payload([res])}
-
-
 def _run_selftest(cmd, opts: RunOptions):
     from .selftest import SUITES, run_suite
 
@@ -165,7 +170,6 @@ _RUNNERS = {
     grammar.OrderCmd: _run_order,
     grammar.MapCmd: _run_map,
     grammar.CheckHomCmd: _run_check_hom,
-    grammar.OracleCheckCmd: _run_oracle_check,
     grammar.SelfTestCmd: _run_selftest,
 }
 
@@ -182,13 +186,15 @@ def run(cmd, opts: RunOptions = None) -> str:
 
 
 def _check_options(opts: RunOptions):
+    for flag, field in _INT_FLAGS.items():
+        value = getattr(opts, field)
+        if not isinstance(value, int):
+            raise ValueError(f"{flag} expects an integer, got {value!r}")
     if opts.max_family < 1:
         raise ValueError(
             f"--max-family must be at least 1, got {opts.max_family}")
     if opts.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {opts.samples}")
-    if opts.window < 1:
-        raise ValueError(f"--window must be at least 1, got {opts.window}")
 
 
 def run_with_code(cmd, opts: RunOptions = None):
@@ -220,52 +226,44 @@ def _dump(payload, opts: RunOptions) -> str:
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-_VALUED_FLAGS = ("--seed", "--samples", "--window", "--max-family")
+def _parse_argv(argv):
+    """Split argv into :class:`RunOptions` and the command's words.
 
-
-def _split_argv(argv):
-    """Separate option tokens from command words, wherever they appear."""
-    flags, words = [], []
+    An integer flag with no value after it is left as a command word.  A
+    value that is not an integer is kept as text, for
+    :func:`_check_options` to report with the out-of-range values.
+    """
+    values, words = {}, []
     i = 0
     while i < len(argv):
         arg = argv[i]
-        if arg in _VALUED_FLAGS and i + 1 < len(argv):
-            flags.extend(argv[i:i + 2])
-            i += 2
-        elif arg == "--pretty" or arg in ("-h", "--help") \
-                or any(arg.startswith(f + "=") for f in _VALUED_FLAGS):
-            flags.append(arg)
-            i += 1
+        flag, eq, value = arg.partition("=")
+        if flag in _INT_FLAGS and (eq or i + 1 < len(argv)):
+            if not eq:
+                i += 1
+                value = argv[i]
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+            values[_INT_FLAGS[flag]] = value
+        elif arg == "--pretty":
+            values["pretty"] = True
         else:
             words.append(arg)
-            i += 1
-    return flags, words
+        i += 1
+    return RunOptions(**values), words
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="epshift",
-        description="exact algebra on shift semigroups decorated by "
-                    "eventually periodic sets")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the sampled suites")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                        help="sample count per sampled suite")
-    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                        help="window half-width for pointwise oracles")
-    parser.add_argument("--max-family", type=int, default=DEFAULT_CLOSURE_CAP,
-                        help="member cap for closure computations")
-    parser.add_argument("--pretty", action="store_true",
-                        help="indent the JSON output")
-    flags, words = _split_argv(list(sys.argv[1:] if argv is None else argv))
-    args = parser.parse_args(flags)
-
-    opts = RunOptions(seed=args.seed, samples=args.samples,
-                      window=args.window, max_family=args.max_family,
-                      pretty=args.pretty)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "-h" in argv or "--help" in argv:
+        print(__doc__ or _USAGE)
+        return EXIT_OK
+    opts, words = _parse_argv(argv)
     text = " ".join(words).strip()
     if not text:
-        parser.print_usage(sys.stderr)
+        print(_USAGE, file=sys.stderr)
         return EXIT_SYNTAX
     try:
         cmd = parse(text)

@@ -25,7 +25,6 @@ DEFAULT_CLOSURE_CAP = 4096
 # defaults of the sampled verification suites, shared with the CLI flags
 DEFAULT_SEED = 7
 DEFAULT_SAMPLES = 10_000
-DEFAULT_WINDOW = 128
 
 Witness = Tuple[EpSet, EpSet, int]
 

@@ -196,7 +196,6 @@ GreenCmd = namedtuple("GreenCmd", "a b rel")
 OrderCmd = namedtuple("OrderCmd", "a b")
 MapCmd = namedtuple("MapCmd", "name args element")
 CheckHomCmd = namedtuple("CheckHomCmd", "name")
-OracleCheckCmd = namedtuple("OracleCheckCmd", "")
 SelfTestCmd = namedtuple("SelfTestCmd", "suite")  # suite: a name or None
 
 
@@ -242,7 +241,7 @@ def parse_command(text: str):
     elif head == "check-hom":
         cmd = CheckHomCmd(p.expect_name(*HOM_NAMES).text)
     elif head == "oracle-check":
-        cmd = OracleCheckCmd()
+        cmd = SelfTestCmd("oracle")
     else:
         suite = None
         if p.peek().kind == "NAME":

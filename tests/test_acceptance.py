@@ -11,7 +11,8 @@ from typing import Tuple
 
 import pytest
 
-from epshift.selftest import (SUITES, SuiteOptions, SuiteResult)
+from epshift.selftest import (ORACLE_WINDOW, SUITES, SuiteOptions,
+                              SuiteResult)
 
 ACCEPTANCE_SEED = 7
 SAMPLES = 10_000
@@ -27,7 +28,8 @@ CRITERIA = [
      "natural-order", 25796),
     (4, "Green criteria vs witnesses, sweeps, and brute scans",
      "green", 68523),
-    (5, "product formula vs pointwise window composition at width 128",
+    (5, "product formula vs pointwise window composition at width "
+        f"{ORACLE_WINDOW}",
      "oracle", 29925),
     (6, "classification golden cases and cross-validation",
      "classification", 17432),
@@ -44,7 +46,7 @@ _runs = {}
 
 def _run(number, title, suite) -> Tuple[SuiteResult, float]:
     if suite not in _runs:
-        opts = SuiteOptions(samples=SAMPLES, seed=ACCEPTANCE_SEED, window=128)
+        opts = SuiteOptions(samples=SAMPLES, seed=ACCEPTANCE_SEED)
         start = time.perf_counter()
         result = SUITES[suite](opts)
         _runs[suite] = (result, time.perf_counter() - start)

@@ -128,6 +128,8 @@ def test_syntax_error_exit_code(capsys):
 def test_no_command_prints_usage(capsys):
     code = cli.main([])
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: epshift")
 
 
 def test_selftest_small_passes(capsys):
@@ -149,9 +151,15 @@ def test_selftest_unknown_suite(capsys):
 def test_check_hom_and_oracle(capsys):
     code, out = run_cli(capsys, "check-hom", "reindex", "--samples", "40")
     assert code == 0 and json.loads(out)["result"]["passed"] is True
-    code, out = run_cli(capsys, "oracle-check", "--samples", "30",
-                        "--window", "64")
+    code, out = run_cli(capsys, "oracle-check", "--samples", "30")
     assert code == 0 and json.loads(out)["result"]["passed"] is True
+
+
+def test_oracle_check_is_selftest_oracle(capsys):
+    _, alias = run_cli(capsys, "oracle-check", "--samples", "50", "--seed", "3")
+    _, suite = run_cli(capsys, "selftest", "oracle", "--samples", "50",
+                       "--seed", "3")
+    assert alias == suite
 
 
 def test_determinism_same_seed_same_bytes(capsys):
@@ -202,8 +210,12 @@ def test_closure_cap_flag(capsys):
     (("--max-family", "0", "eval", "(0,0;[0)) * (1,1;[0))"),
      "--max-family must be at least 1, got 0"),
     (("--samples", "-3", "selftest"), "--samples must be at least 0, got -3"),
-    (("--window", "-3", "oracle-check"), "--window must be at least 1, got -3"),
-    (("--window", "0", "oracle-check"), "--window must be at least 1, got 0"),
+    # values that are not integers at all
+    (("--samples", "x", "selftest"), "--samples expects an integer, got 'x'"),
+    (("--seed=abc", "selftest", "green"),
+     "--seed expects an integer, got 'abc'"),
+    (("eval", "(0,0;[0))", "--max-family", "1.5"),
+     "--max-family expects an integer, got '1.5'"),
 ])
 def test_out_of_range_flags_are_invalid_values(capsys, argv, message):
     code, out = run_cli(capsys, *argv)
@@ -221,9 +233,32 @@ def test_smallest_flag_values_still_run(capsys):
     code, out = run_cli(capsys, "--max-family", "1", "--samples", "5",
                         "selftest")
     assert code == 0 and json.loads(out)["result"]["passed"] is True
-    code, out = run_cli(capsys, "--window", "1", "--samples", "20",
-                        "oracle-check")
-    assert code == 0 and json.loads(out)["result"]["passed"] is True
+
+
+def test_flag_forms_and_leftover_words(capsys):
+    args = ("selftest", "natural-order", "--samples", "20")
+    _, spaced = run_cli(capsys, *args, "--seed", "4")
+    _, joined = run_cli(capsys, *args, "--seed=4")
+    assert spaced == joined and json.loads(spaced)["result"]["passed"] is True
+    # a flag with no value after it, an unknown flag and the removed
+    # ``--window`` are command words, hence syntax errors
+    for argv in (("selftest", "--seed"), ("--foo", "selftest"),
+                 ("--window", "128", "oracle-check")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "syntax_error"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_every_flag(capsys, flag):
+    code = cli.main([flag])
+    out = capsys.readouterr().out
+    assert code == 0
+    for name in ("--seed", "--samples", "--max-family", "--pretty", "--help"):
+        assert name in out
+    # anywhere on the line, ahead of any other error
+    assert cli.main(["eval", flag, "--samples", "x"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_small_sample_counts_cover_every_case_split(capsys):
@@ -268,7 +303,7 @@ IMPORT_CHECK = f"""
 import importlib, sys
 import epshift.cli
 heavy = ["epshift.selftest", "epshift.classify", "epshift.morphisms",
-         "epshift.partial_maps", "dataclasses"]
+         "epshift.partial_maps", "dataclasses", "argparse"]
 assert not [m for m in heavy if m in sys.modules], sys.modules.keys()
 
 import epshift

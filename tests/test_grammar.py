@@ -66,8 +66,8 @@ def test_parse_command_shapes():
     assert isinstance(cmd, grammar.ClosureCmd)
     cmd = grammar.parse_command("check-hom brandt")
     assert isinstance(cmd, grammar.CheckHomCmd) and cmd.name == "brandt"
-    assert isinstance(grammar.parse_command("oracle-check"),
-                      grammar.OracleCheckCmd)
+    cmd = grammar.parse_command("oracle-check")
+    assert isinstance(cmd, grammar.SelfTestCmd) and cmd.suite == "oracle"
     cmd = grammar.parse_command("selftest green")
     assert isinstance(cmd, grammar.SelfTestCmd) and cmd.suite == "green"
     assert grammar.parse_command("selftest").suite is None
