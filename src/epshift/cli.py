@@ -278,9 +278,25 @@ def main(argv=None) -> int:
     return code
 
 
+def _process_main() -> int:
+    """:func:`main` for a process: if the reader closes stdout, exit 1 with
+    no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os  # loaded at interpreter start, so this binds a name only
+
+        # stdout goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
 def console_main():  # pragma: no cover - thin wrapper
-    raise SystemExit(main())
+    raise SystemExit(_process_main())
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(_process_main())

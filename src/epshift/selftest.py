@@ -347,19 +347,58 @@ def _clamp(a: Element) -> Element:
     return _triple(max(-e, min(e, a.i)), max(-e, min(e, a.j)), a.fset)
 
 
-def _connecting_table(ctx, members, edge: int) -> set:
-    """Every ``(c*c^-1, c^-1*c)`` for ``c = (p, q, f)`` with ``|p|, |q| <=
-    edge`` and ``f`` in ``members``, as explicit products."""
+def _connecting_table(ctx, members, edge: int) -> list:
+    """For each ``f`` in ``members``, the ``c*c^-1`` of ``c = (p, -edge, f)``
+    and the ``c^-1*c`` of ``c = (-edge, q, f)`` with ``|p|, |q| <= edge``, as
+    explicit products.
+
+    ``c*c^-1`` depends only on ``(p, f)`` and ``c^-1*c`` only on ``(q, f)``,
+    so member ``f``'s ``rows x cols`` is every ``(c*c^-1, c^-1*c)`` over its
+    ``(p, q)`` square; :func:`_table_connects` looks a pair up.
+    """
     mul = ctx.mul
     span = range(-edge, edge + 1)
-    table = set()
-    for p in span:
-        for q in span:
-            for f in members:
-                c = _triple(p, q, f)
-                ci = c.inverse()
-                table.add((mul(c, ci), mul(ci, c)))
+    table = []
+    for f in members:
+        rows, cols = set(), set()
+        for k in span:
+            c = _triple(k, -edge, f)
+            rows.add(mul(c, c.inverse()))
+            c = _triple(-edge, k, f)
+            cols.add(mul(c.inverse(), c))
+        table.append((rows, cols))
     return table
+
+
+def _table_connects(table, aa, bb) -> bool:
+    """Whether some ``c`` of :func:`_connecting_table` has ``c*c^-1 == aa``
+    and ``c^-1*c == bb``."""
+    return any(aa in rows and bb in cols for rows, cols in table)
+
+
+def _solvable(mul, a, b, span, members, left: bool) -> bool:
+    """Whether ``a*x == b`` (``left``) or ``x*a == b`` holds for some ``x =
+    (p, q, f)`` with ``p, q`` in ``span`` and ``f`` in ``members``, by
+    explicit products.  Each row (column) gets one product first, and the
+    rest only if that one has ``b``'s index and set; see
+    :func:`_sweep_family` for why."""
+    lo = span[0]
+    want = b.fset
+    for k in span:
+        for f in members:
+            if left:
+                c = mul(a, _triple(k, lo, f))
+                if c.i != b.i or not (c.fset is want or c.fset == want):
+                    continue
+                if any(mul(a, _triple(k, q, f)) == b for q in span):
+                    return True
+            else:
+                c = mul(_triple(lo, k, f), a)
+                if c.j != b.j or not (c.fset is want or c.fset == want):
+                    continue
+                if any(mul(_triple(p, k, f), a) == b for p in span):
+                    return True
+    return False
 
 
 def _sweep_family(res: SuiteResult, ctx, pairs) -> None:
@@ -368,7 +407,11 @@ def _sweep_family(res: SuiteResult, ctx, pairs) -> None:
     R and L search each pair's window, ``[lo, hi]^2 x nonempty members``
     with ``lo``/``hi`` the pair's extreme indices widened by
     ``SWEEP_MARGIN``, for ``x`` with ``sa*x == sb`` (``x*sa == sb``) and
-    back.  D looks the pair's
+    back, through :func:`_solvable`.  By the product formula every product
+    in a row ``(p, f)`` of ``sa*(p, q, f)`` shares its first index and set,
+    so one product that misses ``sb``'s rules the row out; the search
+    still multiplies out every row that could hold a hit.  L is the same
+    over columns ``(q, f)`` and the second index.  D looks the pair's
     ``(sa*sa^-1, sb^-1*sb)`` up in :func:`_connecting_table` over the widest
     window any pair can have; see :func:`suite_green` for why that verdict
     equals the per-window search.
@@ -379,15 +422,13 @@ def _sweep_family(res: SuiteResult, ctx, pairs) -> None:
     for sa, sb in pairs:
         lo = min(sa.i, sa.j, sb.i, sb.j) - SWEEP_MARGIN
         hi = max(sa.i, sa.j, sb.i, sb.j) + SWEEP_MARGIN
-        cands = [_triple(p, q, f)
-                 for p in range(lo, hi + 1)
-                 for q in range(lo, hi + 1)
-                 for f in members]
-        got_r = (any(mul(sa, x) == sb for x in cands)
-                 and any(mul(sb, y) == sa for y in cands))
-        got_l = (any(mul(x, sa) == sb for x in cands)
-                 and any(mul(y, sb) == sa for y in cands))
-        got_d = (mul(sa, sa.inverse()), mul(sb.inverse(), sb)) in table
+        span = range(lo, hi + 1)
+        got_r = (_solvable(mul, sa, sb, span, members, True)
+                 and _solvable(mul, sb, sa, span, members, True))
+        got_l = (_solvable(mul, sa, sb, span, members, False)
+                 and _solvable(mul, sb, sa, span, members, False))
+        got_d = _table_connects(table, mul(sa, sa.inverse()),
+                                mul(sb.inverse(), sb))
         res.check(green(sa, sb, "R") == got_r,
                   lambda sa=sa, sb=sb: f"R sweep disagrees on {sa}, {sb}")
         res.check(green(sa, sb, "L") == got_l,
@@ -417,7 +458,18 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
     ``c L sb``, so a D witness all the same.  The verdict therefore stays a
     product-level existence search.  By the product formula the only
     possible hit is ``(sa.i, sb.j, sa.fset)``, which lies in every pair's
-    window, so the verdict also equals the per-window search's.
+    window, so the verdict also equals the per-window search's.  The table
+    keeps, per member ``f``, the ``c*c^-1`` of its rows and the ``c^-1*c``
+    of its columns: the first depends only on ``(p, f)`` and the second
+    only on ``(q, f)``, so ``rows x cols`` is that member's whole square.
+
+    The R and L sweeps search the pair's own window by rows.  By the
+    product formula ``sa*(p, q, f)`` has one first index and one set for
+    every ``q``, and ``(p, q, f)*sa`` one second index and one set for
+    every ``p``.  So if one product of a row misses the target's index or
+    set, every product of that row does, and the row is skipped after that
+    one product; the rows that could hold a hit are multiplied out in full.
+    The verdict is the full-square search's.
     """
     res = SuiteResult("green", opts.seed)
     rng = _rng(opts, "green")

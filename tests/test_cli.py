@@ -279,6 +279,26 @@ def test_out_of_memory_is_reported_as_json():
     assert json.loads(proc.stdout)["error"]["code"] == "resource_limit"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # to stdout meets a broken pipe
+    r, w = os.pipe()
+    os.close(r)
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "epshift.cli", "--pretty", "selftest",
+             "natural-order", "--samples", "5"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
 # the names ``epshift`` exports, by the module that defines them
 EXPORTS = {
     "core": "Element SemigroupCtx ZERO green green_witness idempotent_leq "

@@ -2,8 +2,10 @@
 
 The draws must consume the rng stream exactly as ``randint`` and ``choice``
 do, or the pinned check counts and the byte-identical ``selftest`` output
-would change; the green sweep's D table must give the verdicts of a
-per-window connecting-element search.
+would change.  The green sweep's R and L row search must give the verdicts
+of a search over the whole window, and the facts it rests on (a row of
+products shares its index and set) are checked through ``ctx.mul``; its D
+table must give the verdicts of a per-window connecting-element search.
 """
 
 import random
@@ -16,8 +18,9 @@ from epshift.family import close
 from epshift.omega_sets import EMPTY, EpSet
 from epshift.selftest import (SWEEP_MARGIN, SuiteResult, _below, _clamp,
                               _connecting_table, _connects, _contexts,
-                              _sweep_family, random_closed_family,
-                              random_element, random_epset)
+                              _solvable, _sweep_family, _table_connects,
+                              random_closed_family, random_element,
+                              random_epset)
 
 SEEDS = range(200)
 RANGES = [(-20, 20), (0, 8), (1, 6), (0, 0), (0, 31), (0, 32), (-16, 16)]
@@ -106,17 +109,73 @@ def sweep_families():
     return fixed_families() + randoms
 
 
-def sweep_pairs(fam, seed, count=12):
-    # clamped pairs of nonzero elements, half of them sharing a set
+def sweep_pairs(fam, seed, count=8):
+    # clamped pairs with R-true and L-true cases (a shared index and set),
+    # and a shared index with a set that may differ
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
-        a = random_element(rng, fam, zero_prob=0.0)
-        b = random_element(rng, fam, zero_prob=0.0)
-        if rng.random() < 0.5:
-            b = Element(b.i, b.j, a.fset)
-        pairs.append((_clamp(a), _clamp(b)))
+        a = _clamp(random_element(rng, fam, zero_prob=0.0))
+        b = _clamp(random_element(rng, fam, zero_prob=0.0))
+        pairs += [(a, b), (a, Element(a.i, b.j, a.fset)),
+                  (a, Element(b.i, a.j, a.fset)),
+                  (a, Element(a.i, b.j, b.fset)),
+                  (a, Element(b.i, a.j, b.fset))]
     return pairs
+
+
+def window(sa, sb, margin):
+    lo = min(sa.i, sa.j, sb.i, sb.j) - margin
+    hi = max(sa.i, sa.j, sb.i, sb.j) + margin
+    return range(lo, hi + 1)
+
+
+def square_solvable(ctx, a, b, span, members, left):
+    # the full-square scan the row search replaced
+    if left:
+        return any(ctx.mul(a, Element(p, q, f)) == b
+                   for p in span for q in span for f in members)
+    return any(ctx.mul(Element(p, q, f), a) == b
+               for p in span for q in span for f in members)
+
+
+@pytest.mark.parametrize("margin", [0, SWEEP_MARGIN])
+def test_row_search_equals_the_full_square_scan(margin):
+    verdicts = {True: set(), False: set()}
+    for k, fam in enumerate(sweep_families()):
+        ctx = SemigroupCtx(fam)
+        members = fam.nonempty_members
+        for sa, sb in sweep_pairs(fam, k):
+            span = window(sa, sb, margin)
+            for left in (True, False):
+                for a, b in ((sa, sb), (sb, sa)):
+                    got = _solvable(ctx.mul, a, b, span, members, left)
+                    assert got == square_solvable(ctx, a, b, span, members,
+                                                  left), (a, b, left)
+                    verdicts[left].add(got)
+    assert verdicts == {True: {True, False}, False: {True, False}}
+
+
+def test_a_row_of_products_shares_its_index_and_set():
+    qs = range(-9, 10)
+    for k, fam in enumerate(sweep_families()):
+        ctx = SemigroupCtx(fam)
+        rng = random.Random(100 + k)
+        for _ in range(6):
+            a = random_element(rng, fam, zero_prob=0.0)
+            for p in range(-9, 10, 3):
+                for f in fam.nonempty_members:
+                    # R side: a*(p, q, f) keeps its first index and set
+                    row = [ctx.mul(a, Element(p, q, f)) for q in qs]
+                    assert len({(c.i, c.fset) for c in row}) == 1, (a, p, f)
+                    # L side: (q, p, f)*a keeps its second index and set
+                    col = [ctx.mul(Element(q, p, f), a) for q in qs]
+                    assert len({(c.j, c.fset) for c in col}) == 1, (a, p, f)
+                    # c*c^-1 along a row, c^-1*c along a column
+                    cs = [Element(p, q, f) for q in qs]
+                    assert len({ctx.mul(c, c.inverse()) for c in cs}) == 1
+                    cs = [Element(q, p, f) for q in qs]
+                    assert len({ctx.mul(c.inverse(), c) for c in cs}) == 1
 
 
 def run_sweep(fam, pairs):
@@ -146,15 +205,35 @@ def test_sweep_catches_a_wrong_criterion(monkeypatch, rel):
         assert res.first_failure.startswith(f"{rel} sweep disagrees")
 
 
+@pytest.mark.parametrize("rel", ["R", "L"])
+def test_sweep_catches_a_criterion_that_ignores_the_set(monkeypatch, rel):
+    # this criterion is wrong only on pairs with a shared index and
+    # different sets, so the sweep must fail on exactly those
+    def shared_index(a, b):
+        return a.i == b.i if rel == "R" else a.j == b.j
+
+    def mutated(a, b, r):
+        return shared_index(a, b) if r == rel else green(a, b, r)
+
+    monkeypatch.setattr(selftest, "green", mutated)
+    failures = wrong = 0
+    for k, fam in enumerate(sweep_families()):
+        pairs = sweep_pairs(fam, k)
+        res = run_sweep(fam, pairs)
+        failures += res.failures
+        wrong += sum(shared_index(sa, sb) and sa.fset != sb.fset
+                     for sa, sb in pairs)
+        if res.failures:
+            assert res.first_failure.startswith(f"{rel} sweep disagrees")
+    assert failures == wrong > 0
+
+
 def window_d(ctx, fam, sa, sb):
     # the per-window connecting-element scan the table replaced
-    lo = min(sa.i, sa.j, sb.i, sb.j) - SWEEP_MARGIN
-    hi = max(sa.i, sa.j, sb.i, sb.j) + SWEEP_MARGIN
+    span = window(sa, sb, SWEEP_MARGIN)
     aa, bb = ctx.mul(sa, sa.inverse()), ctx.mul(sb.inverse(), sb)
     return any(_connects(ctx, Element(p, q, f), aa, bb)
-               for p in range(lo, hi + 1)
-               for q in range(lo, hi + 1)
-               for f in fam.nonempty_members)
+               for p in span for q in span for f in fam.nonempty_members)
 
 
 def test_table_d_verdict_equals_the_window_scan():
@@ -168,8 +247,8 @@ def test_table_d_verdict_equals_the_window_scan():
         verdicts = set()
         for sa in elems:
             for sb in elems:
-                got = (ctx.mul(sa, sa.inverse()),
-                       ctx.mul(sb.inverse(), sb)) in table
+                got = _table_connects(table, ctx.mul(sa, sa.inverse()),
+                                      ctx.mul(sb.inverse(), sb))
                 assert got == window_d(ctx, fam, sa, sb), (sa, sb)
                 verdicts.add(got)
         assert verdicts == ({True, False} if len(fam.nonempty_members) > 1
