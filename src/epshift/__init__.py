@@ -22,7 +22,8 @@ from .core import (Element, SemigroupCtx, ZERO, green, green_witness,
 from .errors import (ClosureDiverged, DomainError, EmptyOutsideFamily,
                      NotIdempotent, NotOmegaClosed, NotRelated,
                      NotSingletonSet, OutsideFamily, ParseError,
-                     WrongIsoType, WrongProgression, ZeroInFamily)
+                     ResourceLimit, WrongIsoType, WrongProgression,
+                     ZeroInFamily)
 from .family import Family, SingletonFamily, close, is_omega_closed
 from .kernel import BACKEND as KERNEL_BACKEND
 from .omega_sets import (EMPTY, EpSet, as_arith_progression, as_singleton,
@@ -36,7 +37,8 @@ __all__ = [
     "EmptyOutsideFamily", "EpSet", "ExtBicyclicElt", "Family",
     "KERNEL_BACKEND", "MatrixUnitElt", "NotIdempotent", "NotOmegaClosed",
     "NotRelated", "NotSingletonSet", "OutsideFamily", "ParseError",
-    "PartialShift", "SemigroupCtx", "SingletonFamily", "StructureReport",
+    "PartialShift", "ResourceLimit", "SemigroupCtx", "SingletonFamily",
+    "StructureReport",
     "WindowFn", "WrongIsoType", "WrongProgression", "ZERO", "ZeroInFamily",
     "as_arith_progression", "as_singleton", "brandt_mul", "classify",
     "close", "compose_shifts", "d_class_count", "eval_window",

@@ -55,6 +55,13 @@ class WrongProgression(DomainError):
     code = "wrong_progression"
 
 
+class ResourceLimit(DomainError):
+    """A computation would exceed a fixed size bound; ``quantity`` names
+    what was measured, ``value`` its size and ``limit`` the bound."""
+
+    code = "resource_limit"
+
+
 class ParseError(Exception):
     """Syntax error with position info; ``expected`` names the tokens that would fit."""
 

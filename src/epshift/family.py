@@ -6,21 +6,37 @@ over ``n`` is finite in disguise: once ``n`` passes the threshold of
 ``F2``, the down-shift only depends on ``n`` modulo the period of ``F2``,
 so ``n < threshold + period`` already produces every possible value.
 
-The same periodicity makes closing cheap: :func:`close` only ever cuts
-members with the finitely many down-shifts of the generators.  Closing and
-validating both work on the kernel's raw ``(h, t, p, r)`` quadruples and
-wrap members in :class:`EpSet` only for the caller.
+:func:`close` runs on one common window.  Let ``T`` be the generators'
+largest threshold and ``L`` the lcm of their periods.  A down-shift keeps
+a set's period and does not raise its threshold, and an intersection has
+the larger of the two thresholds and a period dividing the lcm of the two
+periods.  So every member of the closure has threshold at most ``T`` and a
+period dividing ``L``, and it is fixed by its members below ``W = T + L``:
+the head lies below ``T``, and ``[T, T + L)`` holds each residue mod ``L``
+once.  A member is carried as that ``W``-bit window, an int.  The window of
+``shift(g, -n)`` is bits ``n`` to ``n + W`` of ``g``'s window, so with
+``gw`` the window of ``g`` over ``2W`` bits (``n < t + p <= W``) it is
+``gw >> n``, and an intersection is a bitwise and: a cut is one shift and
+one ``&``.  Only the members returned are canonicalized.
+
+:func:`omega_closure_witness` works on the kernel's raw ``(h, t, p, r)``
+quadruples instead, so that it can stop at the first violation before it
+builds anything as wide as a common window.  Members are wrapped in
+:class:`EpSet` only for the caller.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Optional, Tuple
 
 from . import kernel
-from .errors import ClosureDiverged, NotOmegaClosed
+from .errors import ClosureDiverged, NotOmegaClosed, ResourceLimit
 from .omega_sets import EMPTY, EpSet, intersect, shift, sort_key
 
 DEFAULT_CLOSURE_CAP = 4096
+# the widest common window close() builds, in bits; each member costs as much
+MAX_WINDOW_BITS = 1 << 20
 
 # defaults of the sampled verification suites, shared with the CLI flags
 DEFAULT_SEED = 7
@@ -129,6 +145,8 @@ def omega_closure_witness(members: Iterable[EpSet]) -> Optional[Witness]:
     returns before the remaining down-shifts are built.
     """
     ordered = sorted(frozenset(members), key=sort_key)
+    if not ordered:
+        raise ValueError("a closure check needs at least one member")
     pool = {f.raw for f in ordered}
     f1 = ordered[0]
     first = {}  # distinct down-shift -> its first (F2, n), in scan order
@@ -155,7 +173,7 @@ def is_omega_closed(members: Iterable[EpSet]) -> Tuple[bool, Optional[Witness]]:
 def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family:
     """Smallest omega-closed family containing ``generators``.
 
-    Worklist over members: each one is cut by every generator down-shift in
+    Each member is cut by every generator down-shift in
     ``D = {shift(g, -n) : g in G, n < threshold(g) + period(g)}``.  This is
     exactly the closure.  A cut ``F & shift(g, -n)`` of a member lies in the
     closure by definition, so every member is some ``g & d1 & ... & dk``
@@ -164,22 +182,43 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
     ``D`` by periodicity; so ``F1 & shift(F2, -n)`` of two such members is
     again of that form, and the cuts reach it.
 
-    Raises :class:`ClosureDiverged` iff the closure has more than ``cap``
-    members, rather than truncating silently.
+    The cuts run on the common window of the module docstring: a member is
+    its ``W``-bit window ``m`` and a cut is ``m & (gw >> n)``.  New members
+    are cut a layer at a time, so each down-shift is built once per layer
+    and never kept: memory stays at the members' ``W`` bits each.
+
+    Raises :class:`ResourceLimit` if ``W`` exceeds :data:`MAX_WINDOW_BITS`,
+    before any window is built, and :class:`ClosureDiverged` iff the
+    closure has more than ``cap`` members, rather than truncating silently.
     """
-    members = {g.raw for g in generators}
-    if not members:
+    gens = {g.raw for g in generators}
+    if not gens:
         raise ValueError("close() needs at least one generator")
-    cuts = {d for g in members for d in _down_shifts(g)}
-    queue = list(members)
+    t = max(g[1] for g in gens)
+    p = lcm(*(g[2] for g in gens))
+    width = t + p
+    if width > MAX_WINDOW_BITS:
+        raise ResourceLimit(
+            f"closure window of {width} bits exceeds the limit of "
+            f"{MAX_WINDOW_BITS} bits", quantity="window_bits", value=width,
+            limit=MAX_WINDOW_BITS)
+    # each generator's window over [0, 2W) and its number of down-shifts
+    cutters = [(kernel.window(*g, 2 * width), g[1] + g[2]) for g in gens]
+    full = (1 << width) - 1
+    members = {gw & full for gw, _ in cutters}
+    layer = [m for m in members if m]  # the empty set only cuts to itself
     while len(members) <= cap:
-        if not queue:
-            return Family([EpSet._from_canon(*m) for m in members],
-                          check=False)
-        h, t, p, r = queue.pop()
-        for d in cuts:
-            m = kernel.intersect(h, t, p, r, *d)
-            if m not in members:
-                members.add(m)
-                queue.append(m)
+        if not layer:
+            return Family([EpSet._from_canon(*kernel.from_window(m, t, p))
+                           for m in members], check=False)
+        fresh = []
+        for d in (gw >> n for gw, k in cutters for n in range(k)):
+            for m in layer:
+                c = m & d
+                if c not in members:
+                    members.add(c)
+                    fresh.append(c)
+            if len(members) > cap:
+                break
+        layer = [m for m in fresh if m]
     raise ClosureDiverged(f"closure exceeded {cap} members", cap=cap)

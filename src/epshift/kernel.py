@@ -76,6 +76,14 @@ def window(h: int, t: int, p: int, r: int, width: int) -> int:
     return h | (full & ((1 << width) - 1) & ~((1 << t) - 1))
 
 
+def from_window(w: int, t: int, p: int):
+    """The canonical quadruple of a set with threshold at most ``t`` and a
+    period dividing ``p``, from ``w = window(..., t + p)``: its head is the
+    low ``t`` bits, and bit ``j`` of the next ``p`` is the residue
+    ``(t + j) % p``."""
+    return canon(w & ((1 << t) - 1), t, p, _rot_right(w >> t, -t, p))
+
+
 def shift(h: int, t: int, p: int, r: int, d: int):
     """Translate by ``d`` and clip to the naturals."""
     if d == 0:

@@ -140,23 +140,54 @@ def _contexts(rng: random.Random, n: int) -> List[SemigroupCtx]:
     return [SemigroupCtx(fam) for fam in families]
 
 
-def random_element(rng: random.Random, fam, span=INDEX_SPAN,
-                   zero_prob=0.06) -> Element:
-    """A random element of ``fam``, indices within ``+-span``.
+def element_drawer(rng: random.Random, fam, span=INDEX_SPAN, zero_prob=0.06):
+    """A function of no arguments that draws a random element of ``fam``,
+    indices within ``+-span``.
 
-    The draws equal the public API's ``rng.randint(-span, span)`` twice and
+    Each draw equals the public API's ``rng.randint(-span, span)`` twice and
     ``rng.choice(fam.nonempty_members)``, value for value and in the state
-    they leave ``rng`` in; they go through :func:`_below` and the trusted
-    ``_triple`` to skip the call layers of ``randint`` and ``Element``.
+    it leaves ``rng`` in: it inlines :func:`_below`'s rejection loops and
+    builds the :class:`Element` as the trusted ``_triple`` does, with the
+    family's members, the bit lengths and ``getrandbits`` bound once.  A
+    family with no nonempty member gives ``ZERO`` and draws nothing.
     """
     choices = fam.nonempty_members
-    if not choices or (fam.has_empty and rng.random() < zero_prob):
-        return ZERO
+    if not choices:
+        return lambda: ZERO
+    has_empty = fam.has_empty
+    unit = rng.random
     bits = rng.getrandbits
     width = 2 * span + 1
-    i = _below(bits, width) - span
-    j = _below(bits, width) - span
-    return _triple(i, j, choices[_below(bits, len(choices))])
+    kw = width.bit_length()
+    count = len(choices)
+    kc = count.bit_length()
+    new = object.__new__
+
+    def draw() -> Element:
+        if has_empty and unit() < zero_prob:
+            return ZERO
+        i = bits(kw)
+        while i >= width:
+            i = bits(kw)
+        j = bits(kw)
+        while j >= width:
+            j = bits(kw)
+        k = bits(kc)
+        while k >= count:
+            k = bits(kc)
+        e = new(Element)
+        e.i = i - span
+        e.j = j - span
+        e.fset = choices[k]
+        return e
+
+    return draw
+
+
+def random_element(rng: random.Random, fam, span=INDEX_SPAN,
+                   zero_prob=0.06) -> Element:
+    """One draw of :func:`element_drawer`."""
+    return element_drawer(rng, fam, span, zero_prob)()
 
 
 class _AnyFamily:
@@ -228,11 +259,11 @@ def suite_associativity(opts: SuiteOptions) -> SuiteResult:
     rng = _rng(opts, "associativity")
     per_family = max(1, opts.samples)
     for ctx in _contexts(rng, 20):
-        fam = ctx.family
+        draw = element_drawer(rng, ctx.family)
         for _ in range(per_family):
-            a = random_element(rng, fam)
-            b = random_element(rng, fam)
-            c = random_element(rng, fam)
+            a = draw()
+            b = draw()
+            c = draw()
             lhs = ctx.mul(ctx.mul(a, b), c)
             rhs = ctx.mul(a, ctx.mul(b, c))
             res.check(lhs == rhs,
@@ -249,24 +280,25 @@ def suite_inverse_axioms(opts: SuiteOptions) -> SuiteResult:
     res = SuiteResult("inverse-axioms", opts.seed)
     rng = _rng(opts, "inverse-axioms")
     ctxs = _contexts(rng, 8)
+    draws = [element_drawer(rng, ctx.family) for ctx in ctxs]
     for n in range(opts.samples):
         ctx = ctxs[n % len(ctxs)]
-        fam = ctx.family
-        a = random_element(rng, fam)
+        draw = draws[n % len(ctxs)]
+        a = draw()
         ai = inverse(a)
         res.check(ctx.mul(ctx.mul(a, ai), a) == a,
                   lambda a=a: f"a*a^-1*a != a for a = {a}")
         res.check(ctx.mul(ctx.mul(ai, a), ai) == ai,
                   lambda a=a: f"a^-1*a*a^-1 != a^-1 for a = {a}")
         # idempotents commute
-        e = random_element(rng, fam)
-        f = random_element(rng, fam)
+        e = draw()
+        f = draw()
         e = e if e.is_zero else Element(e.i, e.i, e.fset)
         f = f if f.is_zero else Element(f.j, f.j, f.fset)
         res.check(ctx.mul(e, f) == ctx.mul(f, e),
                   lambda e=e, f=f: f"idempotents do not commute: {e}, {f}")
         # uniqueness: anything acting like an inverse is the inverse
-        x = ai if rng.random() < 0.5 else random_element(rng, fam)
+        x = ai if rng.random() < 0.5 else draw()
         if ctx.mul(ctx.mul(a, x), a) == a and ctx.mul(ctx.mul(x, a), x) == x:
             res.check(x == ai,
                       lambda a=a, x=x: f"second inverse {x} found for {a}")
@@ -280,16 +312,17 @@ def suite_natural_order(opts: SuiteOptions) -> SuiteResult:
     res = SuiteResult("natural-order", opts.seed)
     rng = _rng(opts, "natural-order")
     ctxs = _contexts(rng, 8)
+    draws = [element_drawer(rng, ctx.family) for ctx in ctxs]
     for n in range(opts.samples):
         ctx = ctxs[n % len(ctxs)]
-        fam = ctx.family
-        b = random_element(rng, fam)
+        draw = draws[n % len(ctxs)]
+        b = draw()
         if rng.random() < 0.5:
-            e = random_element(rng, fam)
+            e = draw()
             e = e if e.is_zero else Element(e.i, e.i, e.fset)
             a = ctx.mul(b, e)
         else:
-            a = random_element(rng, fam)
+            a = draw()
         claimed = natural_leq(a, b)
         definitional = ctx.mul(ctx.mul(a, inverse(a)), b) == a
         res.check(claimed == definitional,
@@ -474,13 +507,14 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
     res = SuiteResult("green", opts.seed)
     rng = _rng(opts, "green")
     ctxs = _contexts(rng, 8)
+    draws = [element_drawer(rng, ctx.family, zero_prob=0.03) for ctx in ctxs]
     sweeps = [[] for _ in ctxs]
     swept = 0
     for n in range(opts.samples):
         ctx = ctxs[n % len(ctxs)]
-        fam = ctx.family
-        a = random_element(rng, fam, zero_prob=0.03)
-        b = random_element(rng, fam, zero_prob=0.03)
+        draw = draws[n % len(ctxs)]
+        a = draw()
+        b = draw()
         if rng.random() < 0.4 and not (a.is_zero or b.is_zero):
             # same set, and often a shared index, so true cases are common
             b = Element(a.i if rng.random() < 0.5 else b.i,
@@ -508,7 +542,7 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
                   lambda a=a, b=b: f"H-related but distinct: {a}, {b}")
 
         claimed_d = green(a, b, "D")
-        found = _connected(ctx, a, b, fam.nonempty_members)
+        found = _connected(ctx, a, b, ctx.family.nonempty_members)
         res.check(claimed_d == found,
                   lambda a=a, b=b, claimed_d=claimed_d:
                   f"D criterion says {claimed_d} on {a}, {b} but the "
@@ -649,15 +683,16 @@ def suite_classification(opts: SuiteOptions) -> SuiteResult:
         res.check(r.d_classes == d_class_count(ctx) == len(members),
                   "D-class count mismatch")
 
+        draw = element_drawer(rng, fam)
         for _ in range(per_family):
-            a = random_element(rng, fam)
-            b = random_element(rng, fam)
+            a = draw()
+            b = draw()
             if r.bisimple:
                 res.check(_connected(ctx, a, b, members),
                           lambda a=a, b=b: f"bisimple family but {a}, {b} "
                           "are not D-related")
             # E-unitarity scan: idempotents sitting below s
-            s = random_element(rng, fam)
+            s = draw()
             below = []
             if fam.has_empty:
                 below.append(ZERO)
@@ -698,9 +733,10 @@ def _hom_sigma(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
     fam = close([EpSet.ray(k)]) if rng.random() < 0.5 else Family(
         [EpSet.ray(j) for j in range(k, k + rng.randint(1, 3))])
     ctx = SemigroupCtx(fam)
+    draw = element_drawer(rng, fam)
     for _ in range(opts.samples):
-        a = random_element(rng, fam)
-        b = random_element(rng, fam)
+        a = draw()
+        b = draw()
         res.check(sigma_hom(ctx.mul(a, b), ctx)
                   == sigma_hom(a, ctx) + sigma_hom(b, ctx),
                   lambda a=a, b=b: f"sigma not additive on {a}, {b}")

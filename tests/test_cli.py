@@ -10,6 +10,7 @@ import pytest
 
 import epshift
 from epshift import cli
+from epshift.family import MAX_WINDOW_BITS
 
 SRC = os.path.dirname(os.path.dirname(epshift.__file__))
 
@@ -268,15 +269,33 @@ def test_small_sample_counts_cover_every_case_split(capsys):
     assert code == 0 and json.loads(out)["result"]["passed"] is True
 
 
-def test_out_of_memory_is_reported_as_json():
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+
+def test_out_of_memory_is_reported_as_json():
     proc = run_fresh(["-m", "epshift.cli", "green", "(0,0;1+100003*w)",
                       "(0,0;2+100019*w)", "J"],
                      timeout=1, preexec_fn=limit_memory)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["code"] == "resource_limit"
+
+
+@pytest.mark.parametrize("product,width", [
+    # both thresholds are 0, and the lcm of the periods is 10007 * 10009
+    ("(0,0;2+10007*w) * (0,0;3+10009*w)", 10007 * 10009),
+    # the largest threshold is 10^8 + 1
+    ("(0,0;{100000000}) * (5,0;[0))", 10**8 + 2)],
+    ids=["wide-period", "wide-threshold"])
+def test_a_closure_window_over_the_bound_is_refused_first(product, width):
+    proc = run_fresh(["-m", "epshift.cli", "eval", product],
+                     timeout=1, preexec_fn=limit_memory)
+    assert proc.returncode == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "resource_limit"
+    assert error["quantity"] == "window_bits"
+    assert error["value"] == width
+    assert error["limit"] == MAX_WINDOW_BITS < width
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"],
@@ -305,7 +324,8 @@ EXPORTS = {
             "inverse is_idempotent multiply natural_leq",
     "errors": "ClosureDiverged DomainError EmptyOutsideFamily NotIdempotent "
               "NotOmegaClosed NotRelated NotSingletonSet OutsideFamily "
-              "ParseError WrongIsoType WrongProgression ZeroInFamily",
+              "ParseError ResourceLimit WrongIsoType WrongProgression "
+              "ZeroInFamily",
     "family": "Family SingletonFamily close is_omega_closed",
     "omega_sets": "EMPTY EpSet as_arith_progression as_singleton "
                   "exists_shift_subset intersect is_inductive is_subset "

@@ -19,8 +19,8 @@ from epshift.omega_sets import EMPTY, EpSet
 from epshift.selftest import (SWEEP_MARGIN, SuiteResult, _below, _clamp,
                               _connecting_table, _connects, _contexts,
                               _solvable, _sweep_family, _table_connects,
-                              random_closed_family, random_element,
-                              random_epset)
+                              element_drawer, random_closed_family,
+                              random_element, random_epset)
 
 SEEDS = range(200)
 RANGES = [(-20, 20), (0, 8), (1, 6), (0, 0), (0, 31), (0, 32), (-16, 16)]
@@ -84,21 +84,48 @@ def test_random_epset_equals_the_public_draws():
         assert ours.getstate() == theirs.getstate()
 
 
-def test_random_element_equals_the_public_draws():
+DRAW_PARAMS = ((20, 0.06), (0, 0.5), (1, 0.03), (9, 0.0))
+
+
+def draw_families():
     families = fixed_families()
     families += [random_closed_family(random.Random(s)) for s in range(6)]
     families.append(close([EpSet.progression(1, 2), EMPTY]))
+    families.append(close([EMPTY]))
     assert any(f.has_empty for f in families)
+    assert any(not f.has_empty for f in families)
     assert any(not f.nonempty_members for f in families)
+    return families
+
+
+def test_random_element_equals_the_public_draws():
+    families = draw_families()
     for seed in SEEDS:
         ours, theirs = random.Random(seed), random.Random(seed)
         for fam in families:
-            for span, zero_prob in ((20, 0.06), (0, 0.5), (1, 0.03), (9, 0.0)):
+            for span, zero_prob in DRAW_PARAMS:
                 a = random_element(ours, fam, span, zero_prob)
                 b = public_random_element(theirs, fam, span, zero_prob)
                 assert a == b
                 assert a.is_zero == b.is_zero
         assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("span,zero_prob", DRAW_PARAMS)
+def test_one_drawer_equals_the_public_draws(span, zero_prob):
+    for seed, fam in enumerate(draw_families()):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draw = element_drawer(ours, fam, span, zero_prob)
+        for _ in range(200):
+            a = draw()
+            b = public_random_element(theirs, fam, span, zero_prob)
+            assert a == b
+            assert a.is_zero == b.is_zero
+        assert ours.getstate() == theirs.getstate()
+        if not fam.nonempty_members:
+            # nothing to choose from: every draw is the zero, drawn from
+            # no randomness at all
+            assert ours.getstate() == random.Random(seed).getstate()
 
 
 # -- the green sweep -------------------------------------------------------------
