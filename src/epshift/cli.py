@@ -23,8 +23,14 @@ Flags go anywhere on the line, as ``--flag N`` or ``--flag=N``:
 A value that is not an integer, ``--max-family`` below 1 or ``--samples``
 below 0 is an ``invalid_value`` error.
 
-Exit codes: 0 ok, 1 domain error or exhausted memory or recursion,
-2 syntax error, 3 self-test failure.
+Exit codes:
+
+* ``0``  ok
+* ``1``  domain error, invalid value, or exhausted memory or recursion
+* ``2``  syntax error
+* ``3``  self-test failure
+* ``4``  internal error: an exception that is a bug in epshift, answered
+  as ``internal_error`` JSON without a traceback
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_SYNTAX = 2
 EXIT_SELFTEST = 3
+EXIT_INTERNAL = 4
 
 
 RunOptions = namedtuple(
@@ -280,7 +287,8 @@ def main(argv=None) -> int:
 
 def _process_main() -> int:
     """:func:`main` for a process: if the reader closes stdout, exit 1 with
-    no traceback."""
+    no traceback; any other exception that escapes is a bug, answered with
+    ``internal_error`` JSON and :data:`EXIT_INTERNAL`."""
     try:
         code = main()
         sys.stdout.flush()
@@ -291,6 +299,12 @@ def _process_main() -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except Exception as exc:
+        # compact whatever the flags say: reading them may be what failed
+        print(_dump({"error": {"code": "internal_error",
+                               "message": f"{type(exc).__name__}: {exc}"}},
+                    RunOptions()))
+        return EXIT_INTERNAL
     return code
 
 

@@ -21,6 +21,9 @@ from .omega_sets import EpSet, exists_shift_subset, intersect, is_subset, shift
 
 GREEN_RELATIONS = ("R", "L", "H", "D", "J")
 
+# the product cache is cleared when a miss finds it this full
+PROD_CACHE_LIMIT = 1 << 16
+
 
 class Element:
     """A triple ``(i, j, F)``, or the zero (use the module constant ZERO)."""
@@ -90,6 +93,11 @@ def _triple(i: int, j: int, fset) -> Element:
 ZERO = _triple(0, 0, None)
 
 
+def _kernel_cut(f1: EpSet, f2: EpSet, n: int) -> EpSet:
+    """The product set ``f1 & shift(f2, -n)`` of a family with no ``cut``."""
+    return intersect(f1, shift(f2, -n))
+
+
 class SemigroupCtx:
     """Ambient family plus a product-set cache.
 
@@ -100,6 +108,14 @@ class SemigroupCtx:
     every set are all it takes; classification, and the maps that rest on
     its report, need a finite ``Family``.
 
+    A family may also offer ``cut(f1, f2, n)``, giving the product set
+    ``f1 & shift(f2, -n)``; a product-cache miss asks it, and a family
+    without one gets the kernel's ``intersect(f1, shift(f2, -n))``.
+    :meth:`Family.cut <epshift.family.Family.cut>` answers with the
+    family's own member objects.  The cache holds at most
+    :data:`PROD_CACHE_LIMIT` product sets: a miss that finds it full clears
+    it first.
+
     Elements are validated against the family on construction via
     :meth:`element`; the multiplication itself trusts its inputs, which
     keeps the hot path check-free.
@@ -107,6 +123,7 @@ class SemigroupCtx:
 
     def __init__(self, family):
         self.family = family
+        self._cut = getattr(family, "cut", _kernel_cut)
         self._prod_cache = {}
         self._report = None
 
@@ -153,11 +170,14 @@ class SemigroupCtx:
         try:
             fs = self._prod_cache[key]
         except KeyError:
-            fs = intersect(x, shift(y, -n))
+            fs = self._cut(x, y, n)
             # an empty product set is cached as None, the zero's set
             if fs.is_empty:
                 fs = None
-            self._prod_cache[key] = fs
+            cache = self._prod_cache
+            if len(cache) >= PROD_CACHE_LIMIT:
+                cache.clear()
+            cache[key] = fs
         if fs is None:
             if not self.family.has_empty:
                 raise EmptyOutsideFamily(

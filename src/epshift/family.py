@@ -19,6 +19,10 @@ once.  A member is carried as that ``W``-bit window, an int.  The window of
 ``gw >> n``, and an intersection is a bitwise and: a cut is one shift and
 one ``&``.  Only the members returned are canonicalized.
 
+A :class:`Family` reuses that window for products: :meth:`Family.cut`
+answers ``F1 & shift(F2, -n)`` with a lookup from the cut's window to the
+member it denotes, so products over a family are its own member objects.
+
 :func:`omega_closure_witness` works on the kernel's raw ``(h, t, p, r)``
 quadruples instead, so that it can stop at the first violation before it
 builds anything as wide as a common window.  Members are wrapped in
@@ -45,6 +49,12 @@ DEFAULT_SAMPLES = 10_000
 Witness = Tuple[EpSet, EpSet, int]
 
 
+def _common_window(quads):
+    """``(T, L)`` of a list of raw quadruples: the largest threshold and the
+    lcm of the periods.  Every cut of them has a window of ``T + L`` bits."""
+    return max(q[1] for q in quads), lcm(*(q[2] for q in quads))
+
+
 def _down_shifts(q):
     """Every down-shift ``shift(q, -n)`` of a raw quadruple, in order of
     ``n`` below its threshold plus period; the later ones repeat these."""
@@ -59,10 +69,11 @@ class Family:
     (used by :func:`close`, whose output is closed by construction).
     """
 
-    __slots__ = ("_members", "_sorted", "_nonempty", "has_empty")
+    __slots__ = ("_members", "_sorted", "_nonempty", "has_empty", "_windows")
 
     def __init__(self, members: Iterable[EpSet], *, check: bool = True):
         self._members = frozenset(members)
+        self._windows = None  # built by the first cut()
         if not self._members:
             raise ValueError("a family needs at least one member")
         self._sorted = tuple(sorted(self._members, key=sort_key))
@@ -80,6 +91,47 @@ class Family:
     @property
     def members(self) -> Tuple[EpSet, ...]:
         return self._sorted
+
+    def cut(self, f1: EpSet, f2: EpSet, n: int) -> EpSet:
+        """``f1 & shift(f2, -n)`` for a natural ``n``: the set of a product.
+
+        With both factors members, the cut is taken on the common window of
+        the module docstring, ``(w1 & (w2 >> n)) & full`` with each window
+        over ``2W`` bits, and answered with the member whose window it is.
+        A cut that is no member (the family was built with ``check=False``)
+        is canonicalized from its window.  A factor that is not a member,
+        or a window wider than :data:`MAX_WINDOW_BITS`, takes the kernel's
+        ``intersect(f1, shift(f2, -n))`` instead.
+        """
+        state = self._windows
+        if state is None:
+            state = self._windows = self._window_state()
+        windows, by_window, full, t, p = state
+        w1 = windows.get(f1)
+        w2 = windows.get(f2)
+        if w1 is None or w2 is None:
+            return intersect(f1, shift(f2, -n))
+        if n >= t + p:
+            # past every threshold only n mod the common period matters
+            n = t + (n - t) % p
+        c = w1 & (w2 >> n) & full
+        fs = by_window.get(c)
+        if fs is None:
+            fs = EpSet._from_canon(*kernel.from_window(c, t, p))
+        return fs
+
+    def _window_state(self):
+        """``cut()``'s tables: each member's window over ``2W`` bits, the
+        member of each ``W``-bit window, the ``W``-bit mask, ``T`` and
+        ``L``.  Both tables are empty when ``W`` is over the bound."""
+        t, p = _common_window([f.raw for f in self._sorted])
+        width = t + p
+        if width > MAX_WINDOW_BITS:
+            return {}, {}, 0, t, p
+        full = (1 << width) - 1
+        windows = {f: kernel.window(*f.raw, 2 * width) for f in self._sorted}
+        by_window = {w & full: f for f, w in windows.items()}
+        return windows, by_window, full, t, p
 
     @property
     def nonempty_members(self) -> Tuple[EpSet, ...]:
@@ -194,8 +246,7 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
     gens = {g.raw for g in generators}
     if not gens:
         raise ValueError("close() needs at least one generator")
-    t = max(g[1] for g in gens)
-    p = lcm(*(g[2] for g in gens))
+    t, p = _common_window(gens)
     width = t + p
     if width > MAX_WINDOW_BITS:
         raise ResourceLimit(

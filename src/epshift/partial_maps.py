@@ -120,13 +120,23 @@ def restricted_compose_dom(a: PartialShift, f1: EpSet,
     """Domain, within ``[-width, width]``, of ``a`` restricted to ``a.i + f1``
     composed with ``b`` restricted to ``b.i + f2``.
 
-    Pointwise by definition of composition of partial maps; uses nothing
-    but membership queries, so it independently checks the closed form.
+    Pointwise by definition of composition of partial maps: ``n`` is in it
+    iff ``n - a.i`` is in ``f1`` and its image ``n - a.i + a.j - b.i`` is
+    in ``f2``.  Each membership is read off the sets' ``(h, t, p, r)``
+    fields point by point, with no kernel call, so it independently checks
+    the closed form.
     """
+    h1, t1, p1, r1 = f1.raw
+    h2, t2, p2, r2 = f2.raw
+    d = a.j - b.i
     out = set()
-    for n in range(-width, width + 1):
-        if (n - a.i) in f1 and (n - a.i + a.j - b.i) in f2:
-            out.add(n)
+    # below both starts a point's preimage or its image is negative, so it
+    # is in neither set
+    for x in range(max(-width - a.i, 0, -d), width - a.i + 1):
+        y = x + d
+        if ((h1 >> x) & 1 if x < t1 else (r1 >> x % p1) & 1) \
+                and ((h2 >> y) & 1 if y < t2 else (r2 >> y % p2) & 1):
+            out.add(x + a.i)
     return frozenset(out)
 
 

@@ -318,6 +318,27 @@ def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
     assert "BrokenPipeError" not in proc.stderr
 
 
+def test_an_internal_error_is_json_with_exit_4(capsys, monkeypatch):
+    def broken(cmd, opts):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._RUNNERS, cli.grammar.OrderCmd, broken)
+    argv = ["order", "(1,1;[0))", "(0,0;[0))"]
+    # in-process callers still see the exception
+    with pytest.raises(TypeError):
+        cli.main(argv)
+    monkeypatch.setattr(sys, "argv", ["epshift", "--pretty", *argv])
+    assert cli._process_main() == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ('{"error":{"code":"internal_error",'
+                   '"message":"TypeError: unsupported operand"}}\n')
+    assert err == ""
+    # the other commands are untouched
+    monkeypatch.setattr(sys, "argv", ["epshift", "eval", "(0,0;[0)) * (1,1;[0))"])
+    assert cli._process_main() == cli.EXIT_OK
+    assert capsys.readouterr().out == '{"result":"(1,1;[0))"}\n'
+
+
 # the names ``epshift`` exports, by the module that defines them
 EXPORTS = {
     "core": "Element SemigroupCtx ZERO green green_witness idempotent_leq "

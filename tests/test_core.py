@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from epshift import core
 from epshift.core import (Element, SemigroupCtx, ZERO, green, green_witness,
                           idempotent_leq, inverse, is_idempotent, multiply,
                           natural_leq)
@@ -200,6 +201,43 @@ def test_mul_matches_reference_over_singletons(rng):
         assert [ctx.mul(a, b) for a, b, _ in pairs] == want
     assert sum(p is ZERO for p in want) >= 100
     assert sum(p is not ZERO for p in want) >= 100
+
+
+def test_products_over_a_family_are_its_member_objects(rng):
+    # a product's set is the family's own object, cold and from the cache
+    families = [close([RAY]), close([EpSet.of(0, 1), EpSet.progression(1, 2)]),
+                Family(close([PROG, EpSet.of(1, 4)]).members)]
+    for fam in families:
+        own = {id(f) for f in fam.members}
+        ctx = SemigroupCtx(fam)
+        pairs = _offset_pairs(rng, fam.nonempty_members, 200)
+        for _ in range(2):
+            products = [ctx.mul(a, b) for a, b, _ in pairs]
+            assert all(id(p.fset) in own for p in products if p is not ZERO)
+            assert sum(p is not ZERO for p in products) >= 20
+
+
+def test_a_full_product_cache_is_cleared_and_stays_exact(rng, monkeypatch):
+    monkeypatch.setattr(core, "PROD_CACHE_LIMIT", 7)
+    families = [close([EpSet.of(0, 1), EpSet.progression(1, 2)]),
+                Family([EpSet.of(0), EpSet.of(2)], check=False),
+                SingletonFamily()]
+    sets = [None, None, [EpSet.of(k) for k in range(4)]]
+    for fam, members in zip(families, sets):
+        pairs = _offset_pairs(rng, members or fam.nonempty_members, 200,
+                              zero_prob=0.05)
+        want = [_outcome(lambda a, b: reference_mul(fam, a, b), a, b)
+                for a, b, _ in pairs]
+        ctx = SemigroupCtx(fam)
+        clears = 0
+        for _ in range(2):
+            for (a, b, _), expected in zip(pairs, want):
+                before = len(ctx._prod_cache)
+                assert _outcome(ctx.mul, a, b) == expected
+                after = len(ctx._prod_cache)
+                assert after <= 7
+                clears += after < before
+        assert clears >= 5
 
 
 def test_products_are_plain_elements(rng):

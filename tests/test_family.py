@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from epshift import kernel
+from epshift import family, kernel
 from epshift.errors import ClosureDiverged, NotOmegaClosed, ResourceLimit
 from epshift.family import (MAX_WINDOW_BITS, Family, SingletonFamily, close,
                             is_omega_closed, omega_closure_witness)
@@ -318,3 +318,77 @@ def test_singleton_family_membership():
 def test_family_printing_is_sorted_and_stable():
     fam = Family([EpSet.of(0, 1), EpSet.of(0), EMPTY], check=True)
     assert str(fam) == "family{ {}; {0}; {0,1} }"
+
+
+def cut_cases(rng):
+    """Random closures, a directly built family with mixed periods, and a
+    family that skipped verification and is not closed."""
+    families = []
+    while len(families) < 25:
+        try:
+            families.append(close([random_epset(rng, max_threshold=6,
+                                                max_period=5)
+                                   for _ in range(rng.randint(1, 3))], cap=24))
+        except ClosureDiverged:
+            continue
+    mixed = close([EpSet.progression(1, 2), EpSet.from_raw(0b101, 3, 3, 0b011)])
+    families.append(Family(mixed.members))
+    families.append(Family([EpSet.of(0), EpSet.of(2), EpSet.of(0, 1),
+                            EpSet.progression(1, 4)], check=False))
+    return families
+
+
+def test_cut_equals_the_kernel_expression(rng):
+    seen = {"member": 0, "outside": 0, "empty": 0}
+    for fam in cut_cases(rng):
+        by_value = {f: f for f in fam.members}
+        for f1 in fam.members:
+            for f2 in fam.members:
+                for n in range(f2.threshold + f2.period + 3):
+                    want = intersect(f1, shift(f2, -n))
+                    got = fam.cut(f1, f2, n)
+                    assert got == want, (fam, f1, f2, n)
+                    if want in fam:
+                        # the family's own object, not an equal copy
+                        assert got is by_value[want]
+                        seen["member"] += 1
+                    else:
+                        seen["outside"] += 1
+                    seen["empty"] += want.is_empty
+    assert min(seen.values()) >= 20, seen
+
+
+def test_cut_of_a_non_member_or_a_wide_window_takes_the_kernel(monkeypatch):
+    calls = []
+
+    def counting_intersect(f1, f2):
+        calls.append((f1, f2))
+        return intersect(f1, f2)
+
+    monkeypatch.setattr(family, "intersect", counting_intersect)
+    fam = close([EpSet.of(0, 2), EpSet.progression(1, 3)])
+    for f1 in fam.members:
+        for f2 in fam.members:
+            for n in range(12):
+                fam.cut(f1, f2, n)
+    assert calls == []  # members are cut on the window
+    for f1, f2 in ((EpSet.of(5), EpSet.of(0, 2)),
+                   (EpSet.progression(1, 3), EpSet.of(4, 6, 9))):
+        for n in range(12):
+            assert fam.cut(f1, f2, n) == intersect(f1, shift(f2, -n))
+    assert len(calls) == 24
+    # a threshold past the bound
+    members = [EMPTY, EpSet.of(0), EpSet.of(0, MAX_WINDOW_BITS)]
+    wide = Family(members, check=False)
+    calls.clear()
+    for f1 in members:
+        for f2 in members:
+            for n in (0, 1, MAX_WINDOW_BITS):
+                assert wide.cut(f1, f2, n) == intersect(f1, shift(f2, -n))
+    assert len(calls) == 27
+    # periods whose lcm is past the bound; each cut expands to the lcm
+    f1, f2 = EpSet.progression(0, 1025), EpSet.progression(0, 1024)
+    wide = Family([f1, f2], check=False)
+    calls.clear()
+    assert wide.cut(f1, f2, 0) == intersect(f1, f2)
+    assert len(calls) == 1

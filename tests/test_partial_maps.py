@@ -1,5 +1,7 @@
 """Partial shifts and the pointwise composition oracle."""
 
+import random
+
 import pytest
 
 from epshift.core import Element
@@ -127,3 +129,30 @@ def test_closed_form_matches_triple_product(rng):
                            for m in prod.fset.members(width - prod.i + 1)
                            if -width <= prod.i + m <= width)
         assert dom == expect
+
+
+def in_based_compose_dom(a, f1, b, f2, width):
+    """The pointwise domain read literally, one ``in`` query per point."""
+    return frozenset(n for n in range(-width, width + 1)
+                     if (n - a.i) in f1 and (n - a.i + a.j - b.i) in f2)
+
+
+def test_compose_dom_equals_the_membership_queries():
+    # offsets past the window on either side, empty sets and widths down to 1
+    rng = random.Random(0x0DA1)
+    seen = {"empty_set": 0, "empty_dom": 0, "nonempty_dom": 0,
+            "a_outside": 0}
+    for _ in range(1500):
+        width = rng.choice((1, 2, 5, 17, 64))
+        a = PartialShift(rng.randint(-70, 70), rng.randint(-70, 70))
+        b = PartialShift(rng.randint(-70, 70), rng.randint(-70, 70))
+        f1, f2 = (EMPTY if rng.random() < 0.1
+                  else random_epset(rng, max_threshold=10, max_period=6)
+                  for _ in range(2))
+        want = in_based_compose_dom(a, f1, b, f2, width)
+        assert restricted_compose_dom(a, f1, b, f2, width) == want, \
+            (a, f1, b, f2, width)
+        seen["empty_set"] += f1.is_empty or f2.is_empty
+        seen["empty_dom" if not want else "nonempty_dom"] += 1
+        seen["a_outside"] += abs(a.i) > width
+    assert min(seen.values()) >= 100, seen
