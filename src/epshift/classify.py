@@ -9,36 +9,37 @@ witnesses recorded for every negative verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from .core import Element, SemigroupCtx, ZERO
-from .family import Family
+from .core import (ISO_EXTENDED_BICYCLIC, ISO_GENERAL, ISO_MATRIX_UNITS,
+                   ISO_PROGRESSION, ISO_TRIVIAL, Element, SemigroupCtx, ZERO)
 from .omega_sets import (as_arith_progression, as_singleton, exists_shift_subset,
                          is_inductive)
-
-ISO_TRIVIAL = "Trivial"
-ISO_EXTENDED_BICYCLIC = "ExtendedBicyclic"
-ISO_MATRIX_UNITS = "MatrixUnitsOmega"
-ISO_PROGRESSION = "ZeroBisimpleProgression"
-ISO_GENERAL = "General"
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    has_zero: bool
-    has_identity: bool
-    simple: bool
-    zero_simple: bool
-    bisimple: bool
-    zero_bisimple: bool
-    e_unitary: bool
-    iso_type: str
-    iso_params: Tuple[int, ...]
-    contains_extended_bicyclic: bool
-    d_classes: int
-    witnesses: Dict[str, tuple] = field(default_factory=dict)
+class StructureReport(Frozen):
+    """The verdicts of :func:`classify`, with a witness for each negative one.
+
+    ``witnesses`` defaults to a new empty dict per report.
+    """
+
+    __slots__ = ("has_zero", "has_identity", "simple", "zero_simple",
+                 "bisimple", "zero_bisimple", "e_unitary", "iso_type",
+                 "iso_params", "contains_extended_bicyclic", "d_classes",
+                 "witnesses")
+
+    def __init__(self, has_zero: bool, has_identity: bool, simple: bool,
+                 zero_simple: bool, bisimple: bool, zero_bisimple: bool,
+                 e_unitary: bool, iso_type: str, iso_params: Tuple[int, ...],
+                 contains_extended_bicyclic: bool, d_classes: int,
+                 witnesses: Optional[Dict[str, tuple]] = None):
+        if witnesses is None:
+            witnesses = {}
+        values = locals()
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
 
     def as_dict(self) -> dict:
         out = {
@@ -77,14 +78,17 @@ def d_class_count(ctx: SemigroupCtx) -> int:
     The zero, when present, forms its own extra class and is reported via
     ``has_zero``.
     """
-    return len(_finite_family(ctx).nonempty_members)
+    return len(_finite_members(ctx)[1])
 
 
-def _finite_family(ctx: SemigroupCtx) -> Family:
+def _finite_members(ctx: SemigroupCtx):
+    """The family's ``members`` and ``nonempty_members``, which only a
+    finite family offers."""
     fam = ctx.family
-    if not isinstance(fam, Family):
-        raise TypeError("classification needs a finite family")
-    return fam
+    try:
+        return fam.members, fam.nonempty_members
+    except AttributeError:
+        raise TypeError("classification needs a finite family") from None
 
 
 def classify(ctx: SemigroupCtx) -> StructureReport:
@@ -92,10 +96,8 @@ def classify(ctx: SemigroupCtx) -> StructureReport:
     if ctx._report is not None:
         return ctx._report
 
-    fam = _finite_family(ctx)
-    members = fam.members
-    nonempty = fam.nonempty_members
-    has_zero = fam.has_empty
+    members, nonempty = _finite_members(ctx)
+    has_zero = ctx.family.has_empty
     has_identity = has_zero and len(members) == 1
     witnesses: Dict[str, tuple] = {}
 

@@ -21,6 +21,14 @@ from .omega_sets import EpSet, exists_shift_subset, intersect, is_subset, shift
 
 GREEN_RELATIONS = ("R", "L", "H", "D", "J")
 
+# the isomorphism types that ``classify`` resolves; they live here so that
+# the maps can test a report's type without loading ``classify``
+ISO_TRIVIAL = "Trivial"
+ISO_EXTENDED_BICYCLIC = "ExtendedBicyclic"
+ISO_MATRIX_UNITS = "MatrixUnitsOmega"
+ISO_PROGRESSION = "ZeroBisimpleProgression"
+ISO_GENERAL = "General"
+
 # the product cache is cleared when a miss finds it this full
 PROD_CACHE_LIMIT = 1 << 16
 
@@ -105,8 +113,9 @@ class SemigroupCtx:
     empty set belongs to it (and so a zero to the semigroup), and ``in``,
     whether a set does.  :class:`~epshift.family.Family`,
     :class:`~epshift.family.SingletonFamily` and the self-test's family of
-    every set are all it takes; classification, and the maps that rest on
-    its report, need a finite ``Family``.
+    every set are all it takes.  Classification, and the maps that rest on
+    its report, need a finite family: one that also offers the tuples
+    ``members`` and ``nonempty_members``, as ``Family`` does.
 
     A family may also offer ``cut(f1, f2, n)``, giving the product set
     ``f1 & shift(f2, -n)``; a product-cache miss asks it, and a family

@@ -8,22 +8,28 @@ structure theory says so, bijective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from .classify import ISO_EXTENDED_BICYCLIC, ISO_MATRIX_UNITS, classify
-from .core import Element, SemigroupCtx, ZERO
+from .core import (ISO_EXTENDED_BICYCLIC, ISO_MATRIX_UNITS, Element,
+                   SemigroupCtx, ZERO)
 from .errors import NotSingletonSet, WrongIsoType, WrongProgression, ZeroInFamily
 from .family import SingletonFamily
 from .omega_sets import EpSet, as_singleton
-from .partial_maps import PartialShift
+from .values import Frozen
+
+if TYPE_CHECKING:  # an annotation only: the maps never load the oracle
+    from .partial_maps import PartialShift
 
 
-@dataclass(frozen=True)
-class ExtBicyclicElt:
+class ExtBicyclicElt(Frozen):
     """Integer pair under the min-based product."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     def __str__(self) -> str:
         return f"({self.i},{self.j})"
@@ -55,14 +61,16 @@ MATRIX_ZERO = _AbsorbingZero("MATRIX_ZERO")
 BRANDT_ZERO = _AbsorbingZero("BRANDT_ZERO")
 
 
-@dataclass(frozen=True)
-class MatrixUnitElt:
+class MatrixUnitElt(Frozen):
     """Nonzero matrix unit ``(row, col)``; ``(a,b)(c,d) = (a,d)`` iff ``b == c``."""
 
-    row: int
-    col: int
+    __slots__ = ("row", "col")
 
     is_zero = False
+
+    def __init__(self, row: int, col: int):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
 
     def __str__(self) -> str:
         return f"({self.row},{self.col})"
@@ -76,19 +84,19 @@ def matrix_unit_mul(x, y):
     return MATRIX_ZERO
 
 
-@dataclass(frozen=True)
-class BrandtElt:
+class BrandtElt(Frozen):
     """Triple over integer indices with a min-semilattice middle coordinate."""
 
-    left: int
-    mid: int
-    right: int
+    __slots__ = ("left", "mid", "right")
 
     is_zero = False
 
-    def __post_init__(self):
-        if self.mid < 0:
+    def __init__(self, left: int, mid: int, right: int):
+        if mid < 0:
             raise ValueError("middle coordinate must be a natural")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "mid", mid)
+        object.__setattr__(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left},{self.mid},{self.right})"
@@ -115,6 +123,25 @@ def nat_to_int(m: int) -> int:
 
 # -- the maps ---------------------------------------------------------------
 
+# ``epshift.classify``, loaded by the first map that reads a report
+_classify_module = None
+
+
+def _classify(ctx: SemigroupCtx):
+    """:func:`epshift.classify.classify`, looked up on its module.
+
+    Only :func:`to_ext_bicyclic` and :func:`to_matrix_units` read a report,
+    so the other maps never load ``classify``.  It loads once, and a call
+    runs no ``import`` statement.  The function is read off the module on
+    every call, so a rebinding of it there (``perfbench/tracing.py`` makes
+    one and undoes it) is seen here too.
+    """
+    global _classify_module
+    if _classify_module is None:
+        _classify_module = import_module(".classify", __package__)
+    return _classify_module.classify(ctx)
+
+
 def sigma_hom(a: Element, ctx: SemigroupCtx = None) -> int:
     """Index difference ``i - j``: the quotient map onto the additive integers.
 
@@ -130,7 +157,7 @@ def sigma_hom(a: Element, ctx: SemigroupCtx = None) -> int:
 
 def to_ext_bicyclic(ctx: SemigroupCtx, a: Element) -> ExtBicyclicElt:
     """Drop the set component; bijective when the family is one inductive set."""
-    if classify(ctx).iso_type != ISO_EXTENDED_BICYCLIC:
+    if _classify(ctx).iso_type != ISO_EXTENDED_BICYCLIC:
         raise WrongIsoType("family is not a single nonempty inductive set")
     return ExtBicyclicElt(a.i, a.j)
 
@@ -142,7 +169,7 @@ def to_matrix_units(ctx: SemigroupCtx, a: Element):
     integers; compose with :func:`int_to_nat` for natural-indexed units
     (any bijection of the index set is an isomorphism of matrix units).
     """
-    if classify(ctx).iso_type != ISO_MATRIX_UNITS:
+    if _classify(ctx).iso_type != ISO_MATRIX_UNITS:
         raise WrongIsoType("family is not {{}, singleton}")
     if a.is_zero:
         return MATRIX_ZERO

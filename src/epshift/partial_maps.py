@@ -9,18 +9,20 @@ both the index formula and the set component of the semigroup product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional
 
 from .omega_sets import EpSet
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class PartialShift:
+class PartialShift(Frozen):
     """The shift with domain ``[i)``, range ``[j)`` and rule ``n -> n - i + j``."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     def defined_at(self, n: int) -> bool:
         return n >= self.i

@@ -21,7 +21,6 @@ module constants:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Dict, List, Optional
 
@@ -40,6 +39,7 @@ from .morphisms import (BrandtElt, ExtBicyclicElt, brandt_mul,
 from .omega_sets import EMPTY, EpSet, exists_shift_subset, is_subset, shift
 from .partial_maps import (PartialShift, compose_shifts,
                            restricted_compose_dom, restricted_compose_dom_closed)
+from .values import Fields
 
 MAX_THRESHOLD = 8
 MAX_PERIOD = 6
@@ -50,19 +50,25 @@ SWEEP_MARGIN = 2
 ORACLE_WINDOW = 128
 
 
-@dataclass
-class SuiteOptions:
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
+class SuiteOptions(Fields):
+    __slots__ = ("samples", "seed")
+
+    def __init__(self, samples: int = DEFAULT_SAMPLES,
+                 seed: int = DEFAULT_SEED):
+        self.samples = samples
+        self.seed = seed
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    seed: int
-    checks: int = 0
-    failures: int = 0
-    first_failure: Optional[str] = None
+class SuiteResult(Fields):
+    __slots__ = ("name", "seed", "checks", "failures", "first_failure")
+
+    def __init__(self, name: str, seed: int, checks: int = 0,
+                 failures: int = 0, first_failure: Optional[str] = None):
+        self.name = name
+        self.seed = seed
+        self.checks = checks
+        self.failures = failures
+        self.first_failure = first_failure
 
     @property
     def passed(self) -> bool:

@@ -114,8 +114,37 @@ def test_report_as_dict_round_trips_to_json():
 
 
 def test_classify_requires_finite_family():
-    with pytest.raises(TypeError):
-        classify(SemigroupCtx(SingletonFamily()))
+    from epshift.selftest import _free_ctx
+
+    for ctx in (SemigroupCtx(SingletonFamily()), _free_ctx()):
+        with pytest.raises(TypeError, match="needs a finite family"):
+            classify(ctx)
+        with pytest.raises(TypeError, match="needs a finite family"):
+            d_class_count(ctx)
+
+
+class _TupleFamily:
+    """The least a finite family offers classification: no ``Family``."""
+
+    def __init__(self, fam):
+        self.has_empty = fam.has_empty
+        self.members = fam.members
+        self.nonempty_members = fam.nonempty_members
+        self._members = set(fam.members)
+
+    def __contains__(self, f):
+        return f in self._members
+
+
+@pytest.mark.parametrize("gens", [
+    (EpSet.ray(2),), (EpSet.of(3),), (EpSet.progression(2, 3),),
+    (EpSet.of(0, 1),), (EMPTY,), (EpSet.ray(0), EpSet.of(0, 2)),
+])
+def test_classify_takes_any_family_with_members(gens):
+    fam = close(gens)
+    duck = SemigroupCtx(_TupleFamily(fam))
+    assert classify(duck) == classify(SemigroupCtx(fam))
+    assert d_class_count(duck) == len(fam.nonempty_members)
 
 
 def test_report_is_cached_on_context():

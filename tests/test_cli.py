@@ -364,7 +364,7 @@ IMPORT_CHECK = f"""
 import importlib, sys
 import epshift.cli
 heavy = ["epshift.selftest", "epshift.classify", "epshift.morphisms",
-         "epshift.partial_maps", "dataclasses", "argparse"]
+         "epshift.partial_maps", "epshift.values", "dataclasses", "argparse"]
 assert not [m for m in heavy if m in sys.modules], sys.modules.keys()
 
 import epshift
@@ -401,3 +401,52 @@ def test_cli_import_loads_only_what_commands_share():
     proc = run_fresh(["-c", IMPORT_CHECK])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# prints the loaded modules to stderr once ``cli.main`` has answered
+MODULES_AFTER = """
+import sys
+from epshift import cli
+code = cli.main(sys.argv[1:])
+sys.stderr.write(" ".join(sys.modules))
+raise SystemExit(code)
+"""
+
+FOOTPRINT_COMMANDS = [
+    ["eval", "(0,0;[0)) * (1,1;[0))"],
+    ["closure{ {0,3} }"],
+    ["classify", "closure{ {0,3} }"],
+    ["green", "(0,0;[0))", "(1,1;[0))", "D"],
+    ["order", "(0,0;[0))", "(1,1;[0))"],
+    ["map", "sigma", "(1,2;[0))"],
+    ["map", "brandt", "(1,2;{3})"],
+    ["map", "reindex(2,4,3)", "(1,2;2+3*w)"],
+    ["map", "ext-bicyclic", "(1,2;[0))"],
+    ["map", "matrix-units", "(1,2;{3})"],
+    ["check-hom", "brandt", "--samples", "2"],
+    ["selftest", "oracle", "--samples", "2"],
+    ["eval", "(0,0;"],
+]
+
+# maps that read no structure report
+REPORT_FREE_MAPS = ("sigma", "brandt", "reindex")
+
+
+def test_commands_load_no_dataclasses_and_maps_only_what_they_run(capsys):
+    # what the interpreter loads before any epshift code runs, ``site``
+    # included, is not the command's
+    bare = set(run_fresh(["-c", "import sys\n"
+                          "sys.stderr.write(' '.join(sys.modules))"])
+               .stderr.split())
+    for argv in FOOTPRINT_COMMANDS:
+        proc = run_fresh(["-c", MODULES_AFTER, *argv])
+        code, want = run_cli(capsys, *argv)
+        assert (proc.stdout.strip(), proc.returncode) == (want, code), argv
+        loaded = set(proc.stderr.split()) - bare
+        assert not loaded & {"dataclasses", "inspect"}, argv
+        if argv[0] == "map" and argv[1].startswith(REPORT_FREE_MAPS):
+            assert not loaded & {"epshift.classify", "epshift.partial_maps"}, \
+                argv
+        if argv[0] == "map":
+            assert "epshift.morphisms" in loaded and code == 0, argv
+

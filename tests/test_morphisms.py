@@ -76,6 +76,24 @@ def test_to_ext_bicyclic():
         to_ext_bicyclic(bad, Element(0, 0, EpSet.of(3)))
 
 
+def test_maps_read_classify_off_its_module(monkeypatch):
+    import importlib
+
+    module = importlib.import_module("epshift.classify")
+    ctx = SemigroupCtx(close([RAY]))
+    a = Element(3, -2, RAY)
+    to_ext_bicyclic(ctx, a)
+    seen = []
+    real = module.classify
+    monkeypatch.setattr(module, "classify",
+                        lambda c: seen.append(c) or real(c))
+    to_ext_bicyclic(ctx, a)
+    assert seen == [ctx]
+    monkeypatch.undo()
+    to_ext_bicyclic(ctx, a)
+    assert seen == [ctx]
+
+
 def test_to_matrix_units():
     fset = EpSet.of(3)
     ctx = SemigroupCtx(close([fset]))
