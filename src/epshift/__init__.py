@@ -39,9 +39,9 @@ __all__ = [
     "NotRelated", "NotSingletonSet", "OutsideFamily", "ParseError",
     "PartialShift", "ResourceLimit", "SemigroupCtx", "SingletonFamily",
     "StructureReport",
-    "WindowFn", "WrongIsoType", "WrongProgression", "ZERO", "ZeroInFamily",
+    "WrongIsoType", "WrongProgression", "ZERO", "ZeroInFamily",
     "as_arith_progression", "as_singleton", "brandt_mul", "classify",
-    "close", "compose_shifts", "d_class_count", "eval_window",
+    "close", "compose_shifts", "d_class_count",
     "exists_shift_subset", "ext_bicyclic_mul", "green", "green_witness",
     "idempotent_leq", "intersect", "inverse", "is_idempotent",
     "is_inductive", "is_omega_closed", "is_subset", "matrix_unit_mul",
@@ -59,9 +59,8 @@ _LAZY = {
                      "partial_shift_iso", "progression_reindex", "sigma_hom",
                      "singleton_ctx", "to_brandt", "to_ext_bicyclic",
                      "to_matrix_units"), "morphisms"),
-    **dict.fromkeys(("PartialShift", "WindowFn", "compose_shifts",
-                     "eval_window", "restricted_compose_dom"),
-                    "partial_maps"),
+    **dict.fromkeys(("PartialShift", "compose_shifts",
+                     "restricted_compose_dom"), "partial_maps"),
 }
 
 

@@ -19,6 +19,11 @@ once.  A member is carried as that ``W``-bit window, an int.  The window of
 ``gw >> n``, and an intersection is a bitwise and: a cut is one shift and
 one ``&``.  Only the members returned are canonicalized.
 
+The closure is one fold over the generator down-shifts: each ``gw >> n`` is
+built once, cuts every member found so far, and is dropped.  By induction
+on the down-shifts folded, the members are then every meet of a generator
+with some of them, which is the closure (see :func:`close`).
+
 A :class:`Family` reuses that window for products: :meth:`Family.cut`
 answers ``F1 & shift(F2, -n)`` with a lookup from the cut's window to the
 member it denotes, so products over a family are its own member objects.
@@ -225,19 +230,23 @@ def is_omega_closed(members: Iterable[EpSet]) -> Tuple[bool, Optional[Witness]]:
 def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family:
     """Smallest omega-closed family containing ``generators``.
 
-    Each member is cut by every generator down-shift in
-    ``D = {shift(g, -n) : g in G, n < threshold(g) + period(g)}``.  This is
-    exactly the closure.  A cut ``F & shift(g, -n)`` of a member lies in the
-    closure by definition, so every member is some ``g & d1 & ... & dk``
-    with each ``di`` in ``D``.  A down-shift distributes over ``&``, and a
-    down-shift of a down-shift of ``g`` is again one of ``g``, already in
-    ``D`` by periodicity; so ``F1 & shift(F2, -n)`` of two such members is
-    again of that form, and the cuts reach it.
+    Let ``D = {shift(g, -n) : g in G, n < threshold(g) + period(g)}`` be the
+    generator down-shifts.  The closure is exactly the sets
+    ``g & d1 & ... & dk`` with ``g`` in ``G``, ``k >= 0`` and each ``di`` in
+    ``D``.  Each lies in the closure, as a chain of cuts of ``g``.  And
+    together they are omega-closed: a down-shift distributes over ``&``,
+    and a down-shift of a down-shift of ``g`` is again one of ``g``, already
+    in ``D`` by periodicity, so ``F1 & shift(F2, -n)`` of two of them is
+    again of that form.
 
-    The cuts run on the common window of the module docstring: a member is
-    its ``W``-bit window ``m`` and a cut is ``m & (gw >> n)``.  New members
-    are cut a layer at a time, so each down-shift is built once per layer
-    and never kept: memory stays at the members' ``W`` bits each.
+    So the closure is one fold over ``D``.  Start from the generators and,
+    for each ``d`` in turn, add ``m & d`` for every member ``m``.  After
+    folding ``d1 ... dj`` the set holds every ``g & (meet of S)`` with
+    ``S`` a subset of ``{d1 ... dj}``: those with ``dj`` outside ``S`` were
+    there before, and those with it are one ``& dj`` away from them.  Each
+    down-shift is built once, as ``gw >> n`` on the common window of the
+    module docstring, cuts every member's ``W``-bit window and is dropped,
+    so memory stays at the members' ``W`` bits each.
 
     Raises :class:`ResourceLimit` if ``W`` exceeds :data:`MAX_WINDOW_BITS`,
     before any window is built, and :class:`ClosureDiverged` iff the
@@ -253,23 +262,15 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
             f"closure window of {width} bits exceeds the limit of "
             f"{MAX_WINDOW_BITS} bits", quantity="window_bits", value=width,
             limit=MAX_WINDOW_BITS)
+    full = (1 << width) - 1
     # each generator's window over [0, 2W) and its number of down-shifts
     cutters = [(kernel.window(*g, 2 * width), g[1] + g[2]) for g in gens]
-    full = (1 << width) - 1
     members = {gw & full for gw, _ in cutters}
-    layer = [m for m in members if m]  # the empty set only cuts to itself
-    while len(members) <= cap:
-        if not layer:
-            return Family([EpSet._from_canon(*kernel.from_window(m, t, p))
-                           for m in members], check=False)
-        fresh = []
-        for d in (gw >> n for gw, k in cutters for n in range(k)):
-            for m in layer:
-                c = m & d
-                if c not in members:
-                    members.add(c)
-                    fresh.append(c)
-            if len(members) > cap:
-                break
-        layer = [m for m in fresh if m]
-    raise ClosureDiverged(f"closure exceeded {cap} members", cap=cap)
+    for d in (gw >> n for gw, k in cutters for n in range(k)):
+        if len(members) > cap:
+            break
+        members |= {m & d for m in members}
+    if len(members) > cap:
+        raise ClosureDiverged(f"closure exceeded {cap} members", cap=cap)
+    return Family([EpSet._from_canon(*kernel.from_window(m, t, p))
+                   for m in members], check=False)

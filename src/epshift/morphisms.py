@@ -170,7 +170,7 @@ def to_matrix_units(ctx: SemigroupCtx, a: Element):
     (any bijection of the index set is an isomorphism of matrix units).
     """
     if _classify(ctx).iso_type != ISO_MATRIX_UNITS:
-        raise WrongIsoType("family is not {{}, singleton}")
+        raise WrongIsoType("family is not family{ {}; {k} }")
     if a.is_zero:
         return MATRIX_ZERO
     return MatrixUnitElt(a.i, a.j)

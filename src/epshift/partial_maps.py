@@ -9,9 +9,9 @@ both the index formula and the set component of the semigroup product.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import FrozenSet
 
-from .omega_sets import EpSet
+from .omega_sets import EpSet, intersect, shift
 from .values import Frozen
 
 
@@ -49,73 +49,6 @@ def compose_shifts(a: PartialShift, b: PartialShift) -> PartialShift:
     return PartialShift(a.i + b.i - m, a.j + b.j - m)
 
 
-class WindowFn:
-    """Explicit finite partial injection, the result of window evaluation."""
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs: Dict[int, int]):
-        if len(set(pairs.values())) != len(pairs):
-            raise ValueError("window function must be injective")
-        self._pairs = dict(pairs)
-
-    @property
-    def dom(self) -> FrozenSet[int]:
-        return frozenset(self._pairs)
-
-    @property
-    def ran(self) -> FrozenSet[int]:
-        return frozenset(self._pairs.values())
-
-    def get(self, n: int) -> Optional[int]:
-        return self._pairs.get(n)
-
-    def compose(self, other: "WindowFn") -> "WindowFn":
-        """Pointwise left-to-right composition."""
-        out = {}
-        for x, y in self._pairs.items():
-            z = other._pairs.get(y)
-            if z is not None:
-                out[x] = z
-        return WindowFn(out)
-
-    def graph(self):
-        return tuple(sorted(self._pairs.items()))
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WindowFn):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return hash(self.graph())
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{x}->{y}" for x, y in self.graph())
-        return f"WindowFn({{{inside}}})"
-
-
-def eval_window(a: PartialShift, width: int, dom_restrict=None) -> WindowFn:
-    """Explicit graph of ``a`` on ``[-width, width]``.
-
-    Keeps the points whose image also lands in the window.  An optional
-    ``dom_restrict`` container cuts the domain down first.
-    """
-    if width < 1:
-        raise ValueError("window width must be positive")
-    pairs = {}
-    for n in range(max(-width, a.i), width + 1):
-        if dom_restrict is not None and n not in dom_restrict:
-            continue
-        m = n - a.i + a.j
-        if -width <= m <= width:
-            pairs[n] = m
-    return WindowFn(pairs)
-
-
 def restricted_compose_dom(a: PartialShift, f1: EpSet,
                            b: PartialShift, f2: EpSet,
                            width: int) -> FrozenSet[int]:
@@ -150,8 +83,6 @@ def restricted_compose_dom_closed(a: PartialShift, f1: EpSet,
     set component of the corresponding semigroup product, translated by the
     product's first index.
     """
-    from .omega_sets import intersect, shift
-
     if a.j < b.i:
         return (a.i - a.j + b.i, intersect(shift(f1, a.j - b.i), f2))
     if a.j == b.i:

@@ -356,8 +356,7 @@ EXPORTS = {
                  "ext_bicyclic_mul matrix_unit_mul partial_shift_iso "
                  "progression_reindex sigma_hom singleton_ctx to_brandt "
                  "to_ext_bicyclic to_matrix_units",
-    "partial_maps": "PartialShift WindowFn compose_shifts eval_window "
-                    "restricted_compose_dom",
+    "partial_maps": "PartialShift compose_shifts restricted_compose_dom",
 }
 
 IMPORT_CHECK = f"""

@@ -302,6 +302,39 @@ def test_closure_contains_every_product_set(rng):
                     assert intersect(f1, shift(f2, -n)) in fam
 
 
+def test_closure_at_its_exact_cap():
+    # a closure of s members closes at cap s and diverges at cap s - 1, also
+    # when the generators alone are already more than s - 1
+    rng = random.Random(0xCA9)
+    seen = {"cases": 0, "generators_over_cap": 0}
+    for _ in range(120):
+        gens = [sparse_epset(rng, rng.randint(1, 8), max_threshold=8)
+                for _ in range(rng.randint(1, 3))]
+        want = pairwise_closure(gens, cap=16)
+        if want is None or len(want) > 16:
+            continue
+        # a closed family as its own generators, in a scrambled order
+        lists = [gens, rng.sample(sorted(want, key=sort_key), len(want))]
+        for gl in lists:
+            s = len(want)
+            assert set(close(gl, cap=s).members) == want, gl
+            with pytest.raises(ClosureDiverged):
+                close(gl, cap=s - 1)
+            seen["cases"] += 1
+            seen["generators_over_cap"] += len(set(gl)) > s - 1
+    assert seen["cases"] >= 100 and seen["generators_over_cap"] >= 50, seen
+
+
+def test_closure_with_a_large_threshold_matches_the_pairwise_fixpoint():
+    # a threshold far above the seeded cases' windows, as in
+    # eval '(0,0;{0,9999}) * (3,1;5+7*w)', kept small for the referee
+    gens = [EpSet.of(0, 150), EpSet.progression(5, 7)]
+    want = pairwise_closure(gens)
+    assert set(close(gens, cap=len(want)).members) == want
+    with pytest.raises(ClosureDiverged):
+        close(gens, cap=len(want) - 1)
+
+
 def test_singleton_family_membership():
     fam = SingletonFamily()
     assert fam.has_empty

@@ -103,8 +103,10 @@ def test_to_matrix_units():
     assert matrix_unit_mul(to_matrix_units(ctx, a), to_matrix_units(ctx, b)) \
         is MATRIX_ZERO
     assert ctx.mul(a, b) is ZERO
-    with pytest.raises(WrongIsoType):
+    with pytest.raises(WrongIsoType) as exc:
         to_matrix_units(SemigroupCtx(close([RAY])), Element(0, 0, RAY))
+    # the family in the grammar's notation, with single braces
+    assert str(exc.value) == "family is not family{ {}; {k} }"
 
 
 def test_zigzag_bijection():

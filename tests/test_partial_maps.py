@@ -6,8 +6,8 @@ import pytest
 
 from epshift.core import Element
 from epshift.omega_sets import EMPTY, EpSet
-from epshift.partial_maps import (PartialShift, WindowFn, compose_shifts,
-                                  eval_window, restricted_compose_dom,
+from epshift.partial_maps import (PartialShift, compose_shifts,
+                                  restricted_compose_dom,
                                   restricted_compose_dom_closed)
 from epshift.selftest import _free_ctx
 
@@ -47,28 +47,6 @@ def test_compose_shifts_is_pointwise_composition(rng):
                 via_pointwise = n - a.i + a.j - b.i + b.j
             via_formula = (n - c.i + c.j) if n >= c.i else None
             assert via_pointwise == via_formula, (a, b, n)
-
-
-def test_eval_window_examples():
-    assert eval_window(PartialShift(0, 0), 2).graph() == (
-        (0, 0), (1, 1), (2, 2))
-    assert eval_window(PartialShift(1, 0), 2).graph() == ((1, 0), (2, 1))
-    assert eval_window(PartialShift(0, 0), 3,
-                       dom_restrict={0, 2}).graph() == ((0, 0), (2, 2))
-    assert eval_window(PartialShift(0, 5), 2).graph() == ()
-    with pytest.raises(ValueError):
-        eval_window(PartialShift(0, 0), 0)
-
-
-def test_window_fn_injective_and_compose():
-    with pytest.raises(ValueError):
-        WindowFn({0: 1, 2: 1})
-    f = WindowFn({0: 1, 1: 2})
-    g = WindowFn({1: 5, 2: 7})
-    assert f.compose(g).graph() == ((0, 5), (1, 7))
-    assert f.dom == {0, 1} and f.ran == {1, 2}
-    assert f.get(0) == 1 and f.get(9) is None
-    assert len(f) == 2
 
 
 def test_restricted_compose_dom_same_index_case():
