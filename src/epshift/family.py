@@ -28,10 +28,11 @@ A :class:`Family` reuses that window for products: :meth:`Family.cut`
 answers ``F1 & shift(F2, -n)`` with a lookup from the cut's window to the
 member it denotes, so products over a family are its own member objects.
 
-:func:`omega_closure_witness` works on the kernel's raw ``(h, t, p, r)``
-quadruples instead, so that it can stop at the first violation before it
-builds anything as wide as a common window.  Members are wrapped in
-:class:`EpSet` only for the caller.
+:func:`omega_closure_witness` validates on the window of the candidate
+members.  A cut of two of them also has threshold at most ``T`` and a
+period dividing ``L``, so it is a member iff its window is a member's.  The
+cuts ``w1 & (w2 >> n)`` are taken in scan order, and the first one outside
+the members' windows is the witness.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .errors import ClosureDiverged, NotOmegaClosed, ResourceLimit
 from .omega_sets import EMPTY, EpSet, intersect, shift, sort_key
 
 DEFAULT_CLOSURE_CAP = 4096
-# the widest common window close() builds, in bits; each member costs as much
+# the widest common window built, by close(), a cut or validation, in bits;
+# each member costs as much
 MAX_WINDOW_BITS = 1 << 20
 
 # defaults of the sampled verification suites, shared with the CLI flags
@@ -56,15 +58,30 @@ Witness = Tuple[EpSet, EpSet, int]
 
 def _common_window(quads):
     """``(T, L)`` of a list of raw quadruples: the largest threshold and the
-    lcm of the periods.  Every cut of them has a window of ``T + L`` bits."""
-    return max(q[1] for q in quads), lcm(*(q[2] for q in quads))
+    lcm of the periods.  Every cut of them has a window of ``T + L`` bits.
+
+    Raises :class:`ResourceLimit` if ``T + L`` exceeds
+    :data:`MAX_WINDOW_BITS`, before any window is built."""
+    t, p = max(q[1] for q in quads), lcm(*(q[2] for q in quads))
+    width = t + p
+    if width > MAX_WINDOW_BITS:
+        raise ResourceLimit(
+            f"closure window of {width} bits exceeds the limit of "
+            f"{MAX_WINDOW_BITS} bits", quantity="window_bits", value=width,
+            limit=MAX_WINDOW_BITS)
+    return t, p
 
 
-def _down_shifts(q):
-    """Every down-shift ``shift(q, -n)`` of a raw quadruple, in order of
-    ``n`` below its threshold plus period; the later ones repeat these."""
-    h, t, p, r = q
-    return (kernel.shift(h, t, p, r, -n) for n in range(t + p))
+def _window_state(members):
+    """The tables of a cut on the common window of ``members``: each
+    member's window over ``2W`` bits, the member of each ``W``-bit window,
+    the ``W``-bit mask, ``T`` and ``L``."""
+    t, p = _common_window([f.raw for f in members])
+    width = t + p
+    full = (1 << width) - 1
+    windows = {f: kernel.window(*f.raw, 2 * width) for f in members}
+    by_window = {w & full: f for f, w in windows.items()}
+    return windows, by_window, full, t, p
 
 
 class Family:
@@ -104,13 +121,14 @@ class Family:
         the module docstring, ``(w1 & (w2 >> n)) & full`` with each window
         over ``2W`` bits, and answered with the member whose window it is.
         A cut that is no member (the family was built with ``check=False``)
-        is canonicalized from its window.  A factor that is not a member,
-        or a window wider than :data:`MAX_WINDOW_BITS`, takes the kernel's
-        ``intersect(f1, shift(f2, -n))`` instead.
+        is canonicalized from its window.  A factor that is not a member
+        takes the kernel's ``intersect(f1, shift(f2, -n))`` instead.  The
+        first cut raises :class:`ResourceLimit` if ``W`` exceeds
+        :data:`MAX_WINDOW_BITS`.
         """
         state = self._windows
         if state is None:
-            state = self._windows = self._window_state()
+            state = self._windows = _window_state(self._sorted)
         windows, by_window, full, t, p = state
         w1 = windows.get(f1)
         w2 = windows.get(f2)
@@ -124,19 +142,6 @@ class Family:
         if fs is None:
             fs = EpSet._from_canon(*kernel.from_window(c, t, p))
         return fs
-
-    def _window_state(self):
-        """``cut()``'s tables: each member's window over ``2W`` bits, the
-        member of each ``W``-bit window, the ``W``-bit mask, ``T`` and
-        ``L``.  Both tables are empty when ``W`` is over the bound."""
-        t, p = _common_window([f.raw for f in self._sorted])
-        width = t + p
-        if width > MAX_WINDOW_BITS:
-            return {}, {}, 0, t, p
-        full = (1 << width) - 1
-        windows = {f: kernel.window(*f.raw, 2 * width) for f in self._sorted}
-        by_window = {w & full: f for f, w in windows.items()}
-        return windows, by_window, full, t, p
 
     @property
     def nonempty_members(self) -> Tuple[EpSet, ...]:
@@ -195,29 +200,25 @@ def omega_closure_witness(members: Iterable[EpSet]) -> Optional[Witness]:
     """First ``(F1, F2, n)`` violating closure, or ``None`` if closed.
 
     "First" is in the order ``F1``, then ``F2`` (both by :func:`sort_key`),
-    then ``n``.  Many ``(F2, n)`` give the same down-shift, so each distinct
-    down-shift is kept once, at its first ``(F2, n)``: the earliest failing
-    ``(F2, n)`` for an ``F1`` is the first occurrence of a failing one.
-    The table fills while the first ``F1`` is cut, so a violation there
-    returns before the remaining down-shifts are built.
+    then ``n`` below ``F2``'s threshold plus period.  Each cut is taken on
+    the common window of the module docstring, as in :meth:`Family.cut`,
+    and is outside the family iff its window is no member's.
+
+    Raises :class:`ResourceLimit` if ``W`` exceeds :data:`MAX_WINDOW_BITS`,
+    before any window is built.
     """
     ordered = sorted(frozenset(members), key=sort_key)
     if not ordered:
         raise ValueError("a closure check needs at least one member")
-    pool = {f.raw for f in ordered}
-    f1 = ordered[0]
-    first = {}  # distinct down-shift -> its first (F2, n), in scan order
-    for f2 in ordered:
-        for n, d in enumerate(_down_shifts(f2.raw)):
-            if d not in first:
-                if kernel.intersect(*f1.raw, *d) not in pool:
+    windows, pool, full, _, _ = _window_state(ordered)
+    for f1 in ordered:
+        w1 = windows[f1] & full
+        for f2 in ordered:
+            w2 = windows[f2]
+            _, t2, p2, _ = f2.raw
+            for n in range(t2 + p2):
+                if w1 & (w2 >> n) not in pool:
                     return (f1, f2, n)
-                first[d] = (f2, n)
-    for f1 in ordered[1:]:
-        h, t, p, r = f1.raw
-        for d, (f2, n) in first.items():
-            if kernel.intersect(h, t, p, r, *d) not in pool:
-                return (f1, f2, n)
     return None
 
 
@@ -257,11 +258,6 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
         raise ValueError("close() needs at least one generator")
     t, p = _common_window(gens)
     width = t + p
-    if width > MAX_WINDOW_BITS:
-        raise ResourceLimit(
-            f"closure window of {width} bits exceeds the limit of "
-            f"{MAX_WINDOW_BITS} bits", quantity="window_bits", value=width,
-            limit=MAX_WINDOW_BITS)
     full = (1 << width) - 1
     # each generator's window over [0, 2W) and its number of down-shifts
     cutters = [(kernel.window(*g, 2 * width), g[1] + g[2]) for g in gens]

@@ -89,7 +89,12 @@ class _Parser:
         return self.advance()
 
     def int_value(self, what: str = "an integer") -> int:
-        return int(self.expect("INT", what).text)
+        tok = self.expect("INT", what)
+        try:
+            return int(tok.text)
+        except ValueError:  # past Python's digit limit for int()
+            raise ParseError(f"integer literal of {len(tok.text)} characters "
+                             "is too long", tok.line, tok.col, (what,)) from None
 
     def natural(self, what: str = "a natural number") -> int:
         tok = self.peek()

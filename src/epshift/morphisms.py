@@ -117,10 +117,6 @@ def int_to_nat(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
 
-def nat_to_int(m: int) -> int:
-    return m // 2 if m % 2 == 0 else -(m + 1) // 2
-
-
 # -- the maps ---------------------------------------------------------------
 
 # ``epshift.classify``, loaded by the first map that reads a report

@@ -13,7 +13,7 @@ the semigroup layer and keeps all decision procedures exact and fast.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from . import kernel
 
@@ -124,10 +124,6 @@ class EpSet:
         return self._h == 0 and self._r == 0
 
     @property
-    def is_finite(self) -> bool:
-        return self._r == 0
-
-    @property
     def size(self) -> Optional[int]:
         """Number of members, or ``None`` when infinite."""
         return self._h.bit_count() if self._r == 0 else None
@@ -150,16 +146,6 @@ class EpSet:
         """All members strictly below ``below``."""
         w = kernel.window(self._h, self._t, self._p, self._r, below)
         return tuple(n for n in range(max(below, 0)) if (w >> n) & 1)
-
-    def iter_members(self) -> Iterator[int]:
-        """Ascending members; an infinite generator for infinite sets."""
-        n = 0
-        while True:
-            if n in self:
-                yield n
-            elif n >= self._t and self._r == 0:
-                return
-            n += 1
 
     def __and__(self, other: "EpSet") -> "EpSet":
         return intersect(self, other)

@@ -24,9 +24,6 @@ class PartialShift(Frozen):
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
 
-    def defined_at(self, n: int) -> bool:
-        return n >= self.i
-
     def apply(self, n: int) -> int:
         if n < self.i:
             raise ValueError(f"{n} is outside the domain [{self.i})")

@@ -126,6 +126,17 @@ def test_syntax_error_exit_code(capsys):
     assert err["line"] == 1 and err["col"] > 0
 
 
+def test_an_integer_literal_too_long_for_int_is_a_syntax_error(capsys):
+    # past Python's default 4300-digit limit of int() on a string
+    code, out = run_cli(capsys, "eval", "(0,0;{" + "9" * 5000 + "})")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["code"] == "syntax_error"
+    # the position is in the command text, "eval (0,0;{999..."
+    assert err["line"] == 1 and err["col"] == len("eval (0,0;{") + 1
+    assert "5000" in err["message"]
+
+
 def test_no_command_prints_usage(capsys):
     code = cli.main([])
     assert code == 2
@@ -296,6 +307,41 @@ def test_a_closure_window_over_the_bound_is_refused_first(product, width):
     assert error["quantity"] == "window_bits"
     assert error["value"] == width
     assert error["limit"] == MAX_WINDOW_BITS < width
+
+
+def classify_fresh(family):
+    """``classify`` in a new interpreter limited to 1 GiB of address space."""
+    proc = run_fresh(["-m", "epshift.cli", "classify", family],
+                     timeout=10, preexec_fn=limit_memory)
+    return proc.returncode, proc.stdout
+
+
+def test_validating_a_long_period_answers_a_report():
+    # 100003 down-shifts of a 100003-bit window, each cut in one shift and &
+    code, out = classify_fresh("family{ {}; 0+100003*w }")
+    assert code == 0
+    report = json.loads(out)["result"]
+    assert report["iso_type"] == "ZeroBisimpleProgression"
+    assert report["j0"] == 100003
+
+
+def test_validating_a_window_over_the_bound_is_refused_first():
+    code, out = classify_fresh("family{ [2000000) }")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource_limit"
+    assert error["quantity"] == "window_bits"
+    assert error["value"] == 2000001
+    assert error["limit"] == MAX_WINDOW_BITS
+
+
+def test_an_open_family_keeps_its_witness():
+    code, out = classify_fresh("family{ {3}; {4} }")
+    assert code == 1
+    assert out == (
+        '{"error":{"code":"not_omega_closed","f1":"{3}","f2":"{3}",'
+        '"message":"{3} \\u2229 shift({3}, -1) = {} is outside the family",'
+        '"n":1}}\n')
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"],

@@ -86,12 +86,14 @@ def test_a_window_over_the_bound_is_refused_before_any_mask(monkeypatch):
     for gens, width in (([EpSet.of(MAX_WINDOW_BITS)], MAX_WINDOW_BITS + 2),
                         ([EpSet.progression(0, 1025),
                           EpSet.progression(0, 1024)], 1025 * 1024)):
-        with pytest.raises(ResourceLimit) as info:
-            close(gens)
-        assert info.value.code == "resource_limit"
-        assert info.value.details == {"quantity": "window_bits",
-                                      "value": width,
-                                      "limit": MAX_WINDOW_BITS}
+        # closure and validation share the one bound check
+        for build in (close, Family, is_omega_closed):
+            with pytest.raises(ResourceLimit) as info:
+                build(gens)
+            assert info.value.code == "resource_limit"
+            assert info.value.details == {"quantity": "window_bits",
+                                          "value": width,
+                                          "limit": MAX_WINDOW_BITS}
     assert windows == []
     # just under the bound the closure runs, here until the cap stops it
     assert 1024 * 1023 <= MAX_WINDOW_BITS
@@ -170,20 +172,15 @@ def test_not_closed_message_is_stable():
 
 def test_witness_stops_at_first_violation(monkeypatch):
     # {0,100000} has 100001 down-shifts of up to 100000 bits each, but its
-    # cut with the one at n = 1 is already outside, so no more are built
-    shifts = []
-    real_shift = kernel.shift
+    # cut with the one at n = 1 is already outside; every cut is a shift and
+    # an & of window ints, so the kernel never shifts or intersects
+    def refuse(*args):
+        raise AssertionError("validation called the kernel")
 
-    def counting_shift(*args):
-        shifts.append(args[-1])
-        return real_shift(*args)
-
-    monkeypatch.setattr(kernel, "shift", counting_shift)
+    monkeypatch.setattr(kernel, "shift", refuse)
+    monkeypatch.setattr(kernel, "intersect", refuse)
     big = EpSet.of(0, 100000)
-    with pytest.raises(NotOmegaClosed) as info:
-        Family([big])
-    assert info.value.details == {"f1": str(big), "f2": str(big), "n": 1}
-    assert len(shifts) < 10
+    assert omega_closure_witness([big]) == (big, big, 1)
 
 
 def test_long_finite_member_validates():
@@ -391,7 +388,7 @@ def test_cut_equals_the_kernel_expression(rng):
     assert min(seen.values()) >= 20, seen
 
 
-def test_cut_of_a_non_member_or_a_wide_window_takes_the_kernel(monkeypatch):
+def test_cut_of_a_non_member_takes_the_kernel_and_a_wide_window_is_refused(monkeypatch):
     calls = []
 
     def counting_intersect(f1, f2):
@@ -410,18 +407,11 @@ def test_cut_of_a_non_member_or_a_wide_window_takes_the_kernel(monkeypatch):
         for n in range(12):
             assert fam.cut(f1, f2, n) == intersect(f1, shift(f2, -n))
     assert len(calls) == 24
-    # a threshold past the bound
-    members = [EMPTY, EpSet.of(0), EpSet.of(0, MAX_WINDOW_BITS)]
-    wide = Family(members, check=False)
-    calls.clear()
-    for f1 in members:
-        for f2 in members:
-            for n in (0, 1, MAX_WINDOW_BITS):
-                assert wide.cut(f1, f2, n) == intersect(f1, shift(f2, -n))
-    assert len(calls) == 27
-    # periods whose lcm is past the bound; each cut expands to the lcm
-    f1, f2 = EpSet.progression(0, 1025), EpSet.progression(0, 1024)
-    wide = Family([f1, f2], check=False)
-    calls.clear()
-    assert wide.cut(f1, f2, 0) == intersect(f1, f2)
-    assert len(calls) == 1
+    # a family built unchecked past the bound refuses its first cut, whether
+    # the threshold or the lcm of the periods takes it there
+    for members in ([EMPTY, EpSet.of(0), EpSet.of(0, MAX_WINDOW_BITS)],
+                    [EpSet.progression(0, 1025), EpSet.progression(0, 1024)]):
+        wide = Family(members, check=False)
+        with pytest.raises(ResourceLimit) as info:
+            wide.cut(members[0], members[1], 0)
+        assert info.value.details["quantity"] == "window_bits"

@@ -51,7 +51,7 @@ def test_empty_set_canonical_fields():
     assert EMPTY.threshold == 0
     assert EMPTY.period == 1
     assert EMPTY.residues == frozenset()
-    assert EMPTY.is_empty and EMPTY.is_finite
+    assert EMPTY.is_empty and EMPTY.size == 0
     assert 0 not in EMPTY
 
 
@@ -331,12 +331,6 @@ def test_min_and_size():
     assert EpSet.progression(5, 3).min() == 5
     assert EpSet.of(2, 9).size == 2
     assert EpSet.ray(1).size is None
-
-
-def test_iter_members_finite_and_infinite():
-    assert list(EpSet.of(1, 4).iter_members()) == [1, 4]
-    it = EpSet.progression(2, 3).iter_members()
-    assert [next(it) for _ in range(4)] == [2, 5, 8, 11]
 
 
 def test_operators():
