@@ -205,14 +205,29 @@ def _check_options(opts: RunOptions):
 
 
 def run_with_code(cmd, opts: RunOptions = None):
-    opts = opts or RunOptions()
+    return _answer(lambda: cmd, opts or RunOptions())
+
+
+def _answer(command, opts: RunOptions):
+    """The JSON and exit code of running ``command()``'s result.
+
+    Parsing happens inside ``command()``, so an error while parsing gets
+    the same answer as one while running: memory exhausted while the
+    grammar builds a set is ``resource_limit``, as it is in ``close()``.
+    """
     try:
+        cmd = command()
         _check_options(opts)
         payload = _RUNNERS[type(cmd)](cmd, opts)
         code = EXIT_OK
         if "result" in payload and isinstance(payload["result"], dict) \
                 and payload["result"].get("passed") is False:
             code = EXIT_SELFTEST
+    except ParseError as exc:
+        payload = {"error": {"code": "syntax_error", "message": exc.message,
+                             "line": exc.line, "col": exc.col,
+                             "expected": list(exc.expected)}}
+        code = EXIT_SYNTAX
     except DomainError as exc:
         payload = {"error": {"code": exc.code, "message": str(exc),
                              **{k: v for k, v in exc.details.items()}}}
@@ -272,15 +287,7 @@ def main(argv=None) -> int:
     if not text:
         print(_USAGE, file=sys.stderr)
         return EXIT_SYNTAX
-    try:
-        cmd = parse(text)
-    except ParseError as exc:
-        payload = {"error": {"code": "syntax_error", "message": exc.message,
-                             "line": exc.line, "col": exc.col,
-                             "expected": list(exc.expected)}}
-        print(_dump(payload, opts))
-        return EXIT_SYNTAX
-    out, code = run_with_code(cmd, opts)
+    out, code = _answer(lambda: parse(text), opts)
     print(out)
     return code
 

@@ -29,13 +29,6 @@ def _rot_right(r: int, s: int, p: int) -> int:
     return ((r >> s) | (r << (p - s))) & ((1 << p) - 1)
 
 
-def _expand(r: int, p: int, q: int) -> int:
-    # replicate a p-periodic pattern to modulus q (p must divide q)
-    if p == q:
-        return r
-    return r * (((1 << q) - 1) // ((1 << p) - 1))
-
-
 def canon(h: int, t: int, p: int, r: int):
     """Canonicalize an arbitrary valid quadruple."""
     h &= (1 << t) - 1
@@ -43,11 +36,13 @@ def canon(h: int, t: int, p: int, r: int):
     if r == 0:
         p = 1
     elif p > 1:
-        for d in range(1, p):
-            if p % d == 0 and _rot_right(r, d, p) == r:
-                r &= (1 << d) - 1
-                p = d
-                break
+        # the least rotation that maps the pattern to itself is its least
+        # period, and it divides p
+        s = format(r, f"0{p}b")
+        d = (s + s).find(s, 1)
+        if d < p:
+            r &= (1 << d) - 1
+            p = d
     if t > 0 and ((h >> (t - 1)) & 1) == ((r >> ((t - 1) % p)) & 1):
         # lower t to just above the highest bit where the head and the tail
         # pattern disagree
@@ -72,8 +67,13 @@ def window(h: int, t: int, p: int, r: int, width: int) -> int:
         return h & ((1 << width) - 1)
     if r == 0:
         return h
-    full = _expand(r, p, p * (width // p + 1))
-    return h | (full & ((1 << width) - 1) & ~((1 << t) - 1))
+    # the mask first: a width too large for memory fails here, before the
+    # pattern is doubled past it
+    mask = (1 << width) - 1
+    while p < width:
+        r |= r << p
+        p += p
+    return h | (r & mask) >> t << t
 
 
 def from_window(w: int, t: int, p: int):
@@ -96,27 +96,26 @@ def shift(h: int, t: int, p: int, r: int, d: int):
     return canon(h2, t2, p, _rot_right(r, s, p))
 
 
+def _windows(h1, t1, p1, r1, h2, t2, p2, r2):
+    # both sets are q-periodic from t on, so t + q bits decide them
+    t, q = max(t1, t2), lcm(p1, p2)
+    width = t + q
+    return window(h1, t1, p1, r1, width), window(h2, t2, p2, r2, width), t, q
+
+
 def intersect(h1, t1, p1, r1, h2, t2, p2, r2):
-    t = t1 if t1 >= t2 else t2
-    q = lcm(p1, p2)
-    h = window(h1, t1, p1, r1, t) & window(h2, t2, p2, r2, t)
-    return canon(h, t, q, _expand(r1, p1, q) & _expand(r2, p2, q))
+    w1, w2, t, q = _windows(h1, t1, p1, r1, h2, t2, p2, r2)
+    return from_window(w1 & w2, t, q)
 
 
 def union(h1, t1, p1, r1, h2, t2, p2, r2):
-    t = t1 if t1 >= t2 else t2
-    q = lcm(p1, p2)
-    h = window(h1, t1, p1, r1, t) | window(h2, t2, p2, r2, t)
-    return canon(h, t, q, _expand(r1, p1, q) | _expand(r2, p2, q))
+    w1, w2, t, q = _windows(h1, t1, p1, r1, h2, t2, p2, r2)
+    return from_window(w1 | w2, t, q)
 
 
 def subset(h1, t1, p1, r1, h2, t2, p2, r2) -> bool:
-    """Containment; the quadruples need not be canonical."""
-    t = t1 if t1 >= t2 else t2
-    if window(h1, t1, p1, r1, t) & ~window(h2, t2, p2, r2, t):
-        return False
-    q = lcm(p1, p2)
-    return not (_expand(r1, p1, q) & ~_expand(r2, p2, q) & ((1 << q) - 1))
+    w1, w2, _t, _q = _windows(h1, t1, p1, r1, h2, t2, p2, r2)
+    return not w1 & ~w2
 
 
 def exists_shift_subset(h1, t1, p1, r1, h2, t2, p2, r2):
@@ -125,13 +124,17 @@ def exists_shift_subset(h1, t1, p1, r1, h2, t2, p2, r2):
     For ``k >= t2`` every membership query lands in the tail of the second
     set, so the predicate in ``k`` repeats with period ``p2``; scanning
     ``k < t2 + p2`` therefore decides existence over all of the naturals.
+    Each such ``k + F1`` is ``lcm(p1, p2)``-periodic, alongside ``F2``, from
+    below ``t1 + t2 + p2``, so one window of both sets decides every ``k``.
     """
     if h1 == 0 and r1 == 0:
         return 0
     if r2 == 0 and r1 != 0:
         return None
+    width = t1 + t2 + p2 + lcm(p1, p2)
+    w1 = window(h1, t1, p1, r1, width)
+    outside = ~window(h2, t2, p2, r2, width) & ((1 << width) - 1)
     for k in range(t2 + p2):
-        # up-shift of (h1, t1, p1, r1) by k, uncanonicalized
-        if subset(h1 << k, t1 + k, p1, _rot_right(r1, -k, p1), h2, t2, p2, r2):
+        if not (w1 << k) & outside:
             return k
     return None

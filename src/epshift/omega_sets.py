@@ -57,8 +57,7 @@ class EpSet:
     @classmethod
     def from_raw(cls, h: int, t: int, p: int, r: int) -> "EpSet":
         """Build from a raw quadruple (canonicalizing it)."""
-        return cls._from_canon(*kernel.canon(h & ((1 << t) - 1), t, p,
-                                             r & ((1 << p) - 1)))
+        return cls._from_canon(*kernel.canon(h, t, p, r))
 
     @classmethod
     def of(cls, *members: int) -> "EpSet":
@@ -101,7 +100,7 @@ class EpSet:
 
     @property
     def head(self) -> Tuple[int, ...]:
-        return tuple(n for n in range(self._t) if (self._h >> n) & 1)
+        return tuple(_bits(self._h))
 
     @property
     def threshold(self) -> int:
@@ -113,7 +112,7 @@ class EpSet:
 
     @property
     def residues(self) -> frozenset:
-        return frozenset(c for c in range(self._p) if (self._r >> c) & 1)
+        return frozenset(_bits(self._r))
 
     @property
     def raw(self) -> Tuple[int, int, int, int]:
@@ -132,10 +131,9 @@ class EpSet:
         """Least member, or ``None`` for the empty set."""
         if self._h:
             return (self._h & -self._h).bit_length() - 1
-        if self._r:
-            t, p = self._t, self._p
-            return min(t + (c - t) % p for c in range(p) if (self._r >> c) & 1)
-        return None
+        # bit j of the rotated pattern is the member t + j
+        tail = kernel._rot_right(self._r, self._t, self._p)
+        return self._t + (tail & -tail).bit_length() - 1 if tail else None
 
     # -- behaviour -------------------------------------------------------
 
@@ -144,8 +142,7 @@ class EpSet:
 
     def members(self, below: int) -> Tuple[int, ...]:
         """All members strictly below ``below``."""
-        w = kernel.window(self._h, self._t, self._p, self._r, below)
-        return tuple(n for n in range(max(below, 0)) if (w >> n) & 1)
+        return tuple(_bits(kernel.window(*self.raw, below)))
 
     def __and__(self, other: "EpSet") -> "EpSet":
         return intersect(self, other)
@@ -177,6 +174,14 @@ class EpSet:
 EMPTY = EpSet()
 
 
+def _bits(x: int):
+    """The positions of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def sort_key(f: EpSet):
     """A total order on canonical sets; used for deterministic printing."""
     m = f.min()
@@ -191,10 +196,9 @@ def format_epset(f: EpSet) -> str:
     head = f.head
     if head:
         parts.append("{" + ",".join(str(n) for n in head) + "}")
-    t, p, r = f._t, f._p, f._r
-    tails = sorted(t + (c - t) % p for c in range(p) if (r >> c) & 1)
-    for first in tails:
-        parts.append(f"[{first})" if p == 1 else f"{first}+{p}*w")
+    t, p = f._t, f._p
+    for j in _bits(kernel._rot_right(f._r, t, p)):
+        parts.append(f"[{t + j})" if p == 1 else f"{t + j}+{p}*w")
     return "|".join(parts)
 
 

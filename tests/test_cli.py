@@ -309,6 +309,32 @@ def test_a_closure_window_over_the_bound_is_refused_first(product, width):
     assert error["limit"] == MAX_WINDOW_BITS < width
 
 
+def test_a_long_period_meets_the_window_bound_in_time():
+    # the grammar finds the least period of a 10^8-bit pattern first
+    proc = run_fresh(["-m", "epshift.cli", "eval", "(0,0;0+100000000*w)"],
+                     timeout=5, preexec_fn=limit_memory)
+    assert proc.returncode == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "resource_limit"
+    assert error["quantity"] == "window_bits"
+    assert error["value"] == 10**8
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "(0,0;{10000000000})"],
+    ["closure{ [10000000000) }"],
+    ["order", "(0,0;{10000000000})", "(0,0;[0))"],
+    ["eval", "(0,0;0+1000000000*w)"]],
+    ids=["eval-head", "closure-ray", "order-head", "eval-period"])
+def test_memory_exhausted_while_parsing_is_a_resource_limit(argv):
+    # the grammar builds a 10^10-bit mask, or the least period of a 10^9-bit
+    # pattern, before any command runs
+    proc = run_fresh(["-m", "epshift.cli", *argv],
+                     timeout=5, preexec_fn=limit_memory)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["code"] == "resource_limit"
+
+
 def classify_fresh(family):
     """``classify`` in a new interpreter limited to 1 GiB of address space."""
     proc = run_fresh(["-m", "epshift.cli", "classify", family],

@@ -134,6 +134,14 @@ def test_canon_threshold_matches_bitwise_loop(rng):
     for _ in range(2000):
         q = random_raw(rng)
         assert kernel.canon(*q) == loop_canon(*q)
+    # periods in the thousands whose pattern repeats with a proper divisor
+    for _ in range(40):
+        d = rng.randint(1, 60)
+        p = d * rng.randint(1000 // d + 1, 4000 // d)
+        r = rng.getrandbits(d) * (((1 << p) - 1) // ((1 << d) - 1))
+        t = rng.randint(0, 120)
+        h = rng.getrandbits(t) if rng.random() < 0.5 else 0
+        assert kernel.canon(h, t, p, r) == loop_canon(h, t, p, r)
 
 
 @given(epsets(), epsets())
@@ -267,6 +275,33 @@ def test_exists_shift_subset_complete_against_brute(rng):
         bound = decision_bound(f1, f2)
         assert exists_shift_subset(f1, f2) == brute_least_shift_subset(
             f1, f2, 4 * bound)
+    # multi-word sets; every other second set holds a shift of the first,
+    # so its period shares the first one's factors
+    for i in range(60):
+        f1 = random_epset(rng, max_threshold=120, max_period=80)
+        f2 = random_epset(rng, max_threshold=120, max_period=80)
+        if i % 2:
+            f2 = union(f2, shift(f1, rng.randint(0, 150)))
+        assert exists_shift_subset(f1, f2) == brute_least_shift_subset(
+            f1, f2, decision_bound(f1, f2))
+
+
+def test_exists_shift_subset_builds_one_window_per_set(monkeypatch):
+    windows = []
+    real_window = kernel.window
+
+    def counting_window(*args):
+        windows.append(args)
+        return real_window(*args)
+
+    monkeypatch.setattr(kernel, "window", counting_window)
+    for f1, f2, k in ((EpSet.of(0), EpSet.ray(50), 50),
+                      (EpSet.of(0, 1), EpSet.parse("{0}|[300)"), 300),
+                      (EpSet.ray(0), EpSet.progression(3, 7), None),
+                      (EpSet.of(0, 2), EpSet.progression(1, 997), None)):
+        windows.clear()
+        assert exists_shift_subset(f1, f2) == k
+        assert len(windows) == 2
 
 
 # -- shape predicates ----------------------------------------------------------
@@ -325,6 +360,25 @@ def test_progression_detection_is_exact(f):
 
 
 # -- misc accessors -------------------------------------------------------------
+
+def test_enumeration_matches_naive_members_on_wide_sets(rng):
+    for i in range(100):
+        h, t, p, r = random_raw(rng, max_threshold=3000, max_period=2000)
+        # half of the sets have no head, so that min() reads the tail
+        f = EpSet.from_raw(h if i % 2 else 0, t, p, r)
+        h, t, p, r = f.raw
+        width = t + 2 * p + 3
+        members = sorted(naive_members(h, t, p, r, width))
+        head = tuple(n for n in members if n < t)
+        tails = [n for n in members if t <= n < t + p]
+        assert f.head == head
+        assert f.residues == {n % p for n in tails}
+        assert f.min() == (members[0] if members else None)
+        assert f.members(width) == tuple(members)
+        parts = (["{" + ",".join(map(str, head)) + "}"] if head else []) + [
+            f"[{n})" if p == 1 else f"{n}+{p}*w" for n in tails]
+        assert str(f) == ("|".join(parts) or "{}")
+
 
 def test_min_and_size():
     assert EMPTY.min() is None and EMPTY.size == 0
