@@ -60,6 +60,15 @@ class SuiteOptions(Fields):
 
 
 class SuiteResult(Fields):
+    """One suite's tally: every check is counted, and only the first
+    failure is described.
+
+    A check passes a ``str.format`` template with positional fields and
+    the values they read, so a passing check formats nothing and builds
+    no closure: ``res.check(lhs == rhs, "{0} != {1}", lhs, rhs)``.
+    Literal braces in a template are doubled.
+    """
+
     __slots__ = ("name", "seed", "checks", "failures", "first_failure")
 
     def __init__(self, name: str, seed: int, checks: int = 0,
@@ -74,26 +83,20 @@ class SuiteResult(Fields):
     def passed(self) -> bool:
         return self.failures == 0
 
-    def check(self, ok, describe) -> bool:
-        """Count one assertion; ``describe`` (a string or a thunk giving one)
-        is kept for the first failure only."""
+    def check(self, ok, message: str, *values) -> bool:
+        """Count one assertion; on the first failure only, keep
+        ``message.format(*values)``."""
         self.checks += 1
         if not ok:
             self.failures += 1
             if self.first_failure is None:
-                self.first_failure = (
-                    describe() if callable(describe) else str(describe))
+                self.first_failure = message.format(*values)
         return bool(ok)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "checks": self.checks,
-            "failures": self.failures,
-            "passed": self.passed,
-            "first_failure": self.first_failure,
-        }
+        out = dict(zip(self.__slots__, self._values(self)))
+        out["passed"] = self.passed
+        return out
 
 
 def _rng(opts: SuiteOptions, name: str) -> random.Random:
@@ -272,10 +275,8 @@ def suite_associativity(opts: SuiteOptions) -> SuiteResult:
             c = draw()
             lhs = ctx.mul(ctx.mul(a, b), c)
             rhs = ctx.mul(a, ctx.mul(b, c))
-            res.check(lhs == rhs,
-                      lambda a=a, b=b, c=c, lhs=lhs, rhs=rhs:
-                      f"associativity broke: ({a}*{b})*{c} = {lhs} "
-                      f"but {a}*({b}*{c}) = {rhs}")
+            res.check(lhs == rhs, "associativity broke: ({0}*{1})*{2} = {3} "
+                      "but {0}*({1}*{2}) = {4}", a, b, c, lhs, rhs)
     return res
 
 
@@ -293,21 +294,20 @@ def suite_inverse_axioms(opts: SuiteOptions) -> SuiteResult:
         a = draw()
         ai = inverse(a)
         res.check(ctx.mul(ctx.mul(a, ai), a) == a,
-                  lambda a=a: f"a*a^-1*a != a for a = {a}")
+                  "a*a^-1*a != a for a = {0}", a)
         res.check(ctx.mul(ctx.mul(ai, a), ai) == ai,
-                  lambda a=a: f"a^-1*a*a^-1 != a^-1 for a = {a}")
+                  "a^-1*a*a^-1 != a^-1 for a = {0}", a)
         # idempotents commute
         e = draw()
         f = draw()
         e = e if e.is_zero else Element(e.i, e.i, e.fset)
         f = f if f.is_zero else Element(f.j, f.j, f.fset)
         res.check(ctx.mul(e, f) == ctx.mul(f, e),
-                  lambda e=e, f=f: f"idempotents do not commute: {e}, {f}")
+                  "idempotents do not commute: {0}, {1}", e, f)
         # uniqueness: anything acting like an inverse is the inverse
         x = ai if rng.random() < 0.5 else draw()
         if ctx.mul(ctx.mul(a, x), a) == a and ctx.mul(ctx.mul(x, a), x) == x:
-            res.check(x == ai,
-                      lambda a=a, x=x: f"second inverse {x} found for {a}")
+            res.check(x == ai, "second inverse {0} found for {1}", x, a)
     return res
 
 
@@ -332,15 +332,14 @@ def suite_natural_order(opts: SuiteOptions) -> SuiteResult:
         claimed = natural_leq(a, b)
         definitional = ctx.mul(ctx.mul(a, inverse(a)), b) == a
         res.check(claimed == definitional,
-                  lambda a=a, b=b, claimed=claimed:
-                  f"order criterion says {claimed} for {a} vs {b} "
-                  "but the definitional product check disagrees")
+                  "order criterion says {0} for {1} vs {2} "
+                  "but the definitional product check disagrees",
+                  claimed, a, b)
         if not a.is_zero and not b.is_zero:
             e1 = Element(a.i, a.i, a.fset)
             e2 = Element(b.i, b.i, b.fset)
             res.check(idempotent_leq(e1, e2) == natural_leq(e1, e2),
-                      lambda e1=e1, e2=e2:
-                      f"idempotent order disagrees on {e1}, {e2}")
+                      "idempotent order disagrees on {0}, {1}", e1, e2)
         res.check(natural_leq(ZERO, b) and natural_leq(a, a),
                   "zero must be the minimum and the order reflexive")
     return res
@@ -469,11 +468,11 @@ def _sweep_family(res: SuiteResult, ctx, pairs) -> None:
         got_d = _table_connects(table, mul(sa, sa.inverse()),
                                 mul(sb.inverse(), sb))
         res.check(green(sa, sb, "R") == got_r,
-                  lambda sa=sa, sb=sb: f"R sweep disagrees on {sa}, {sb}")
+                  "R sweep disagrees on {0}, {1}", sa, sb)
         res.check(green(sa, sb, "L") == got_l,
-                  lambda sa=sa, sb=sb: f"L sweep disagrees on {sa}, {sb}")
+                  "L sweep disagrees on {0}, {1}", sa, sb)
         res.check(green(sa, sb, "D") == got_d,
-                  lambda sa=sa, sb=sb: f"D sweep disagrees on {sa}, {sb}")
+                  "D sweep disagrees on {0}, {1}", sa, sb)
 
 
 def suite_green(opts: SuiteOptions) -> SuiteResult:
@@ -529,30 +528,28 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
         for rel, exact in (("R", _exact_r), ("L", _exact_l)):
             claimed = green(a, b, rel)
             res.check(claimed == exact(ctx, a, b),
-                      lambda a=a, b=b, rel=rel, claimed=claimed:
-                      f"{rel} criterion says {claimed} on {a}, {b} but "
-                      "the divisibility products disagree")
+                      "{0} criterion says {1} on {2}, {3} but "
+                      "the divisibility products disagree", rel, claimed, a, b)
             if claimed and not a.is_zero:
                 x, y = green_witness(a, b, rel)
                 if rel == "R":
                     ok = ctx.mul(a, x) == b and ctx.mul(b, y) == a
                 else:
                     ok = ctx.mul(x, a) == b and ctx.mul(y, b) == a
-                res.check(ok, lambda a=a, b=b, rel=rel:
-                          f"{rel} witness products failed for {a}, {b}")
+                res.check(ok, "{0} witness products failed for {1}, {2}",
+                          rel, a, b)
 
         claimed_h = green(a, b, "H")
         res.check(claimed_h == (green(a, b, "R") and green(a, b, "L")),
                   "H must be R meet L")
         res.check(claimed_h == (a == b),
-                  lambda a=a, b=b: f"H-related but distinct: {a}, {b}")
+                  "H-related but distinct: {0}, {1}", a, b)
 
         claimed_d = green(a, b, "D")
         found = _connected(ctx, a, b, ctx.family.nonempty_members)
         res.check(claimed_d == found,
-                  lambda a=a, b=b, claimed_d=claimed_d:
-                  f"D criterion says {claimed_d} on {a}, {b} but the "
-                  "connecting-element search disagrees")
+                  "D criterion says {0} on {1}, {2} but the "
+                  "connecting-element search disagrees", claimed_d, a, b)
 
         claimed_j = green(a, b, "J")
         if a.is_zero or b.is_zero:
@@ -566,11 +563,10 @@ def suite_green(opts: SuiteOptions) -> SuiteResult:
                 res.check(
                     ctx.mul(ctx.mul(dominated, inverse(dominated)), b)
                     == dominated and green(dominated, a, "D"),
-                    lambda a=a, b=b: f"domination witness failed on {a}, {b}")
+                    "domination witness failed on {0}, {1}", a, b)
         res.check(claimed_j == brute_j,
-                  lambda a=a, b=b, claimed_j=claimed_j:
-                  f"J criterion says {claimed_j} on {a}, {b} but the "
-                  "brute scan disagrees")
+                  "J criterion says {0} on {1}, {2} but the "
+                  "brute scan disagrees", claimed_j, a, b)
 
         if swept < SWEEP_PAIRS and not (a.is_zero or b.is_zero):
             swept += 1
@@ -599,7 +595,7 @@ def suite_oracle(opts: SuiteOptions) -> SuiteResult:
         res.check(
             partial_shift_iso(compose_shifts(a, b))
             == ext_bicyclic_mul(partial_shift_iso(a), partial_shift_iso(b)),
-            lambda a=a, b=b: f"index composition square broke on {a}, {b}")
+            "index composition square broke on {0}, {1}", a, b)
 
         if f1.is_empty or f2.is_empty:
             continue
@@ -615,26 +611,22 @@ def suite_oracle(opts: SuiteOptions) -> SuiteResult:
                           f2.threshold + 2 * f2.period) + 16)
         pointwise = restricted_compose_dom(a, f1, b, f2, width)
         if prod.is_zero:
-            res.check(not pointwise,
-                      lambda ea=ea, eb=eb:
-                      f"{ea}*{eb} collapsed to zero but the pointwise "
-                      "domain is nonempty")
+            res.check(not pointwise, "{0}*{1} collapsed to zero but the "
+                      "pointwise domain is nonempty", ea, eb)
             continue
         res.check((prod.i, prod.j) == (comp.i, comp.j),
-                  lambda ea=ea, eb=eb, prod=prod, comp=comp:
-                  f"indices of {ea}*{eb} = {prod} disagree with {comp}")
+                  "indices of {0}*{1} = {2} disagree with {3}",
+                  ea, eb, prod, comp)
         translated = frozenset(
             prod.i + m
             for m in prod.fset.members(width - prod.i + 1)
             if -width <= prod.i + m <= width)
-        res.check(translated == pointwise,
-                  lambda ea=ea, eb=eb:
-                  f"set component of {ea}*{eb} disagrees with the "
-                  "pointwise composition domain")
+        res.check(translated == pointwise, "set component of {0}*{1} "
+                  "disagrees with the pointwise composition domain", ea, eb)
         base, s = restricted_compose_dom_closed(a, f1, b, f2)
         res.check(base == prod.i and s == prod.fset,
-                  lambda ea=ea, eb=eb:
-                  f"closed-form domain disagrees with product on {ea}, {eb}")
+                  "closed-form domain disagrees with product on {0}, {1}",
+                  ea, eb)
     return res
 
 
@@ -650,24 +642,24 @@ def suite_classification(opts: SuiteOptions) -> SuiteResult:
         res.check(
             r.iso_type == ISO_EXTENDED_BICYCLIC and r.bisimple and r.simple
             and r.e_unitary and not r.has_zero and r.d_classes == 1,
-            f"ray family [{k}) misclassified: {r.iso_type}")
+            "ray family [{0}) misclassified: {1}", k, r.iso_type)
     for k in (0, 1, 3, 5, 7):
         r = classify(SemigroupCtx(close([EpSet.of(k)])))
         res.check(
             r.iso_type == ISO_MATRIX_UNITS and r.iso_params == (k,)
             and r.zero_bisimple and r.zero_simple and not r.simple
             and not r.e_unitary,
-            f"singleton family {{{k}}} misclassified: {r.iso_type}")
+            "singleton family {{{0}}} misclassified: {1}", k, r.iso_type)
     for i0, j0 in ((2, 3), (0, 2), (1, 4), (3, 1), (5, 5)):
         r = classify(SemigroupCtx(Family([EMPTY, EpSet.progression(i0, j0)])))
         res.check(
             r.iso_type == ISO_PROGRESSION and r.iso_params == (i0, j0)
             and r.zero_bisimple and r.has_zero,
-            f"progression family {i0}+{j0}*w misclassified: "
-            f"{r.iso_type}{r.iso_params}")
+            "progression family {0}+{1}*w misclassified: {2}{3}",
+            i0, j0, r.iso_type, r.iso_params)
     r = classify(SemigroupCtx(Family([EMPTY])))
     res.check(r.iso_type == ISO_TRIVIAL and r.has_identity and r.bisimple,
-              f"trivial family misclassified: {r.iso_type}")
+              "trivial family misclassified: {0}", r.iso_type)
 
     per_family = max(1, opts.samples // 24)
     for _ in range(24):
@@ -679,13 +671,12 @@ def suite_classification(opts: SuiteOptions) -> SuiteResult:
         all_j = all(_brute_green_j(f, g) for f in members for g in members)
         if r.has_zero:
             res.check(r.zero_simple == (bool(members) and all_j),
-                      lambda fam=fam: f"zero-simplicity disagrees with "
-                      f"J-universality on {fam}")
+                      "zero-simplicity disagrees with J-universality on {0}",
+                      fam)
             res.check(not r.simple, "a semigroup with zero is not simple")
         else:
             res.check(r.simple == all_j,
-                      lambda fam=fam: f"simplicity disagrees with "
-                      f"J-universality on {fam}")
+                      "simplicity disagrees with J-universality on {0}", fam)
         res.check(r.d_classes == d_class_count(ctx) == len(members),
                   "D-class count mismatch")
 
@@ -695,8 +686,8 @@ def suite_classification(opts: SuiteOptions) -> SuiteResult:
             b = draw()
             if r.bisimple:
                 res.check(_connected(ctx, a, b, members),
-                          lambda a=a, b=b: f"bisimple family but {a}, {b} "
-                          "are not D-related")
+                          "bisimple family but {0}, {1} are not D-related",
+                          a, b)
             # E-unitarity scan: idempotents sitting below s
             s = draw()
             below = []
@@ -710,10 +701,8 @@ def suite_classification(opts: SuiteOptions) -> SuiteResult:
                             below.append(e)
             for e in below:
                 if not is_idempotent(s):
-                    res.check(not r.e_unitary,
-                              lambda s=s, e=e:
-                              f"claimed E-unitary yet {e} <= {s} with {s} "
-                              "not idempotent")
+                    res.check(not r.e_unitary, "claimed E-unitary yet "
+                              "{0} <= {1} with {1} not idempotent", e, s)
             # identity probes
             if not r.has_identity and members:
                 f = rng.choice(members)
@@ -721,8 +710,8 @@ def suite_classification(opts: SuiteOptions) -> SuiteResult:
                 e = Element(i, i, f)
                 x = Element(i - 1, i - 1, f)
                 res.check(ctx.mul(e, x) != x,
-                          lambda e=e, x=x: f"identity candidate {e} "
-                          f"unexpectedly fixes {x}")
+                          "identity candidate {0} unexpectedly fixes {1}",
+                          e, x)
         if not r.bisimple:
             f1, f2 = fam.members[0], fam.members[1]
             x = ZERO if f1.is_empty else Element(0, 0, f1)
@@ -733,6 +722,15 @@ def suite_classification(opts: SuiteOptions) -> SuiteResult:
 
 
 # -- suite: morphisms -----------------------------------------------------------
+
+def _element_or_zero(rng: random.Random, fset: EpSet, span: int,
+                     zero_prob: float) -> Element:
+    """``ZERO`` if ``rng.random() < zero_prob``, else an element with set
+    ``fset`` and two indices from ``rng.randint(-span, span)``."""
+    if rng.random() < zero_prob:
+        return ZERO
+    return Element(rng.randint(-span, span), rng.randint(-span, span), fset)
+
 
 def _hom_sigma(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
     k = rng.randint(0, 4)
@@ -745,7 +743,7 @@ def _hom_sigma(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
         b = draw()
         res.check(sigma_hom(ctx.mul(a, b), ctx)
                   == sigma_hom(a, ctx) + sigma_hom(b, ctx),
-                  lambda a=a, b=b: f"sigma not additive on {a}, {b}")
+                  "sigma not additive on {0}, {1}", a, b)
         # congruence classes are the fibers: scan for a merging idempotent
         same = sigma_hom(a, ctx) == sigma_hom(b, ctx)
         hi = max(a.i, b.i)
@@ -754,10 +752,8 @@ def _hom_sigma(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
             for m in range(hi, hi + 3)
             for f in fam.members
             for e in (Element(m, m, f),))
-        res.check(same == merged,
-                  lambda a=a, b=b, same=same:
-                  f"sigma classes say {same} on {a}, {b} but the "
-                  "merging-idempotent scan disagrees")
+        res.check(same == merged, "sigma classes say {0} on {1}, {2} but "
+                  "the merging-idempotent scan disagrees", same, a, b)
 
 
 def _hom_ext_bicyclic(res: SuiteResult, rng: random.Random,
@@ -771,7 +767,7 @@ def _hom_ext_bicyclic(res: SuiteResult, rng: random.Random,
         fa, fb = to_ext_bicyclic(ctx, a), to_ext_bicyclic(ctx, b)
         res.check(to_ext_bicyclic(ctx, ctx.mul(a, b))
                   == ext_bicyclic_mul(fa, fb),
-                  lambda a=a, b=b: f"pair map not a homomorphism on {a}, {b}")
+                  "pair map not a homomorphism on {0}, {1}", a, b)
         res.check((fa == fb) == (a == b), "pair map must be injective")
         # surjectivity: explicit preimage
         tgt = ExtBicyclicElt(rng.randint(-20, 20), rng.randint(-20, 20))
@@ -782,8 +778,7 @@ def _hom_ext_bicyclic(res: SuiteResult, rng: random.Random,
         res.check(partial_shift_iso(compose_shifts(s1, s2))
                   == ext_bicyclic_mul(partial_shift_iso(s1),
                                       partial_shift_iso(s2)),
-                  lambda s1=s1, s2=s2:
-                  f"shift composition square broke on {s1}, {s2}")
+                  "shift composition square broke on {0}, {1}", s1, s2)
 
 
 def _hom_matrix_units(res: SuiteResult, rng: random.Random,
@@ -792,18 +787,14 @@ def _hom_matrix_units(res: SuiteResult, rng: random.Random,
     ctx = SemigroupCtx(close([EpSet.of(k)]))
     fset = EpSet.of(k)
     for _ in range(opts.samples):
-        def rnd():
-            if rng.random() < 0.08:
-                return ZERO
-            return Element(rng.randint(-20, 20), rng.randint(-20, 20), fset)
-        a, b = rnd(), rnd()
+        a = _element_or_zero(rng, fset, 20, 0.08)
+        b = _element_or_zero(rng, fset, 20, 0.08)
         if rng.random() < 0.5 and not (a.is_zero or b.is_zero):
             b = Element(a.j, b.j, fset)  # hit the nonzero product case
         fa, fb = to_matrix_units(ctx, a), to_matrix_units(ctx, b)
         res.check(to_matrix_units(ctx, ctx.mul(a, b))
                   == matrix_unit_mul(fa, fb),
-                  lambda a=a, b=b:
-                  f"matrix-unit map not a homomorphism on {a}, {b}")
+                  "matrix-unit map not a homomorphism on {0}, {1}", a, b)
         na, nb = to_matrix_units_nat(ctx, a), to_matrix_units_nat(ctx, b)
         res.check(to_matrix_units_nat(ctx, ctx.mul(a, b))
                   == matrix_unit_mul(na, nb),
@@ -813,7 +804,7 @@ def _hom_matrix_units(res: SuiteResult, rng: random.Random,
 
 def _hom_brandt(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
     ctx = singleton_ctx()
-    hits: Dict[tuple, int] = {}
+    hits = set()
     splits = [(case, match) for case in (-1, 0, 1) for match in (False, True)]
     for i in range(opts.samples):
         k1, k2 = rng.randint(0, 8), rng.randint(0, 8)
@@ -842,16 +833,14 @@ def _hom_brandt(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
                 k2 += 1
         a = Element(rng.randint(-12, 12), j1, EpSet.of(k1))
         b = Element(i2, rng.randint(-12, 12), EpSet.of(k2))
-        hits[(case, a.j + k1 == b.i + k2)] = hits.get(
-            (case, a.j + k1 == b.i + k2), 0) + 1
+        hits.add((case, a.j + k1 == b.i + k2))
         lhs = to_brandt(ctx.mul(a, b))
         rhs = brandt_mul(to_brandt(a), to_brandt(b))
-        res.check(lhs == rhs,
-                  lambda a=a, b=b, lhs=lhs, rhs=rhs:
-                  f"triple map not a homomorphism on {a}, {b}: "
-                  f"{lhs} vs {rhs}")
+        res.check(lhs == rhs, "triple map not a homomorphism on {0}, {1}: "
+                  "{2} vs {3}", a, b, lhs, rhs)
     res.check(len(hits) == min(len(splits), opts.samples),
-              f"not all six product case splits were exercised: {sorted(hits)}")
+              "not all six product case splits were exercised: {0}",
+              sorted(hits))
     # surjectivity: explicit preimages of random codomain triples
     for _ in range(min(opts.samples, 500)):
         left, mid = rng.randint(-12, 12), rng.randint(0, 10)
@@ -868,17 +857,14 @@ def _hom_reindex(res: SuiteResult, rng: random.Random, opts: SuiteOptions):
     c2 = SemigroupCtx(Family([EMPTY, EpSet.progression(i2, j0)]))
     fset = EpSet.progression(i1, j0)
     for _ in range(opts.samples):
-        def rnd():
-            if rng.random() < 0.06:
-                return ZERO
-            return Element(rng.randint(-16, 16), rng.randint(-16, 16), fset)
-        a, b = rnd(), rnd()
+        a = _element_or_zero(rng, fset, 16, 0.06)
+        b = _element_or_zero(rng, fset, 16, 0.06)
         fa = progression_reindex(a, i1, i2, j0)
         fb = progression_reindex(b, i1, i2, j0)
         res.check(progression_reindex(c1.mul(a, b), i1, i2, j0)
                   == c2.mul(fa, fb),
-                  lambda a=a, b=b:
-                  f"progression reindexing not a homomorphism on {a}, {b}")
+                  "progression reindexing not a homomorphism on {0}, {1}",
+                  a, b)
     res.check(progression_reindex(ZERO, i1, i2, j0) is ZERO,
               "reindexing must fix the zero")
 
@@ -925,9 +911,8 @@ def suite_family_machinery(opts: SuiteOptions) -> SuiteResult:
             continue
         done += 1
         ok, witness = is_omega_closed(fam.members)
-        res.check(ok, lambda gens=gens, witness=witness:
-                  f"closure of {[str(g) for g in gens]} not closed: "
-                  f"witness {witness}")
+        res.check(ok, "closure of {0} not closed: witness {1}",
+                  [str(g) for g in gens], witness)
         res.check(close(fam.members, cap=len(fam) + 1) == fam,
                   "closure must be idempotent")
         try:
@@ -943,10 +928,8 @@ def suite_family_machinery(opts: SuiteOptions) -> SuiteResult:
         bound = decision_bound(f1, f2)
         got = exists_shift_subset(f1, f2)
         brute = brute_least_shift_subset(f1, f2, 4 * bound)
-        res.check(got == brute,
-                  lambda f1=f1, f2=f2, got=got, brute=brute:
-                  f"shift-containment scan: {got} vs brute {brute} "
-                  f"on {f1}, {f2}")
+        res.check(got == brute, "shift-containment scan: {0} vs brute {1} "
+                  "on {2}, {3}", got, brute, f1, f2)
         if got is not None:
             res.check(is_subset(shift(f1, got), f2),
                       "reported shift does not actually embed")

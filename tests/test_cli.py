@@ -335,6 +335,15 @@ def test_memory_exhausted_while_parsing_is_a_resource_limit(argv):
     assert json.loads(proc.stdout)["error"]["code"] == "resource_limit"
 
 
+def test_a_dense_head_is_listed_in_time():
+    # each witness prints a head of 100002 members
+    proc = run_fresh(["-m", "epshift.cli", "green", "(0,0;{200001}|0+2*w)",
+                      "(0,0;{200001}|0+2*w)", "R"],
+                     timeout=2, preexec_fn=limit_memory)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith('{"result":true,"witness":["(0,0;{0,2,4,')
+
+
 def classify_fresh(family):
     """``classify`` in a new interpreter limited to 1 GiB of address space."""
     proc = run_fresh(["-m", "epshift.cli", "classify", family],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epshift import kernel
-from epshift.omega_sets import (EMPTY, EpSet, as_arith_progression,
+from epshift.omega_sets import (EMPTY, EpSet, _bits, as_arith_progression,
                                 as_singleton, exists_shift_subset, intersect,
                                 is_inductive, is_subset, shift, union)
 
@@ -378,6 +378,33 @@ def test_enumeration_matches_naive_members_on_wide_sets(rng):
         parts = (["{" + ",".join(map(str, head)) + "}"] if head else []) + [
             f"[{n})" if p == 1 else f"{n}+{p}*w" for n in tails]
         assert str(f) == ("|".join(parts) or "{}")
+
+
+def positions(x):
+    # one character per bit, lowest first
+    return [i for i, c in enumerate(reversed(bin(x)[2:])) if c == "1"]
+
+
+def chunk_edge_masks():
+    # chunks are cut from the top, so their edges sit both at fixed
+    # positions and at fixed distances below the highest bit
+    edges = (4095, 4096, 4097, 8191, 8192)
+    for top in edges:
+        for gap in (0, 1, 2, *edges):
+            if gap <= top:
+                yield 1 | 1 << (top - gap) | 1 << top
+    yield sum(1 << e for e in range(4090, 4100)) | 1 << 8192
+
+
+def test_bits_equal_a_positional_scan():
+    masks = [0, (1 << 20000) - 1, int("10" * 100001, 2),
+             random.Random(5).getrandbits(300000), *chunk_edge_masks()]
+    for x in masks:
+        assert list(_bits(x)) == positions(x)
+
+
+def test_bits_of_a_single_high_bit():
+    assert list(_bits(1 << 10**7)) == [10**7]
 
 
 def test_min_and_size():

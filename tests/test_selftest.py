@@ -6,6 +6,7 @@ would change.  The green sweep's R and L row search must give the verdicts
 of a search over the whole window, and the facts it rests on (a row of
 products shares its index and set) are checked through ``ctx.mul``; its D
 table must give the verdicts of a per-window connecting-element search.
+A failing check must report the text its template and values spell.
 """
 
 import random
@@ -18,9 +19,10 @@ from epshift.family import close
 from epshift.omega_sets import EMPTY, EpSet
 from epshift.selftest import (SWEEP_MARGIN, SuiteResult, _below, _clamp,
                               _connecting_table, _connects, _contexts,
-                              _solvable, _sweep_family, _table_connects,
-                              element_drawer, random_closed_family,
-                              random_element, random_epset)
+                              _element_or_zero, _solvable, _sweep_family,
+                              _table_connects, element_drawer,
+                              random_closed_family, random_element,
+                              random_epset)
 
 SEEDS = range(200)
 RANGES = [(-20, 20), (0, 8), (1, 6), (0, 0), (0, 31), (0, 32), (-16, 16)]
@@ -280,3 +282,111 @@ def test_table_d_verdict_equals_the_window_scan():
                 verdicts.add(got)
         assert verdicts == ({True, False} if len(fam.nonempty_members) > 1
                             else {True})
+
+
+# -- the check protocol -----------------------------------------------------------
+
+class Unprintable:
+    def __format__(self, spec):
+        raise AssertionError("a passing check formatted its message")
+
+
+def test_a_check_formats_only_its_first_failure():
+    res = SuiteResult("x", 0)
+    res.check(True, "{0}", Unprintable())
+    res.check(0, "singleton {{{0}}} and {1}", 3, [(1, True)])
+    res.check(False, "{0}", Unprintable())
+    assert (res.checks, res.failures) == (3, 2)
+    assert res.first_failure == "singleton {3} and [(1, True)]"
+    assert res.as_dict() == {"name": "x", "seed": 0, "checks": 3,
+                             "failures": 2, "passed": False,
+                             "first_failure": res.first_failure}
+
+
+# the n-th check of a suite at 40 samples and seed 3, forced to fail, and
+# the first failure it reports: one row per suite and per morphism map
+INJECTED = [
+    ("associativity", 1, 960,
+     "associativity broke: ((-15,-3;[0))*(1,-6;[0)))*(11,14;[0)) = "
+     "(6,14;[0)) but (-15,-3;[0))*((1,-6;[0))*(11,14;[0))) = (6,14;[0))"),
+    ("inverse-axioms", 7, 143,
+     "second inverse (14,-10;{3}) found for (-10,14;{3})"),
+    ("natural-order", 1, 103,
+     "order criterion says False for (-5,-2;[0)) vs (5,-8;[0)) but the "
+     "definitional product check disagrees"),
+    ("green", 285, 396, "D sweep disagrees on (6,6;[0)), (6,-6;[0))"),
+    ("oracle", 2, 113,
+     "indices of (-3,1;{1,3,4,5})*(-9,-11;{3,4}|[6)) = (-3,-1;{1,3,4,5}) "
+     "disagree with a[-3->-1]"),
+    ("classification", 6, 147,
+     "singleton family {0} misclassified: MatrixUnitsOmega"),
+    ("morphisms", 401, 482,
+     "not all six product case splits were exercised: [(-1, False), "
+     "(-1, True), (0, False), (0, True), (1, False), (1, True)]"),
+    ("family-machinery", 1, 341,
+     "closure of ['{0}', '{3,4,5,6}|8+3*w'] not closed: witness None"),
+    ("hom-sigma", 14, 80,
+     "sigma classes say True on (-17,-3;[0)), (-4,10;[0)) but the "
+     "merging-idempotent scan disagrees"),
+    ("hom-ext-bicyclic", 4, 160,
+     "shift composition square broke on a[-15->-2], a[8->-7]"),
+    ("hom-matrix-units", 1, 120,
+     "matrix-unit map not a homomorphism on (-3,2;{7}), (17,16;{7})"),
+    ("hom-brandt", 1, 81,
+     "triple map not a homomorphism on (2,-4;{0}), (-7,2;{0}): 0 vs 0"),
+    ("hom-reindex", 1, 41,
+     "progression reindexing not a homomorphism on (-12,-3;5+3*w), "
+     "(12,-14;5+3*w)"),
+]
+
+
+@pytest.mark.parametrize("name,nth,checks,text", INJECTED,
+                         ids=[row[0] for row in INJECTED])
+def test_an_injected_failure_reports_its_text(monkeypatch, name, nth, checks,
+                                              text):
+    check = SuiteResult.check
+    calls = []
+
+    def flip_nth(res, ok, *rest):
+        calls.append(None)
+        return check(res, not ok if len(calls) == nth else ok, *rest)
+
+    monkeypatch.setattr(SuiteResult, "check", flip_nth)
+    opts = selftest.SuiteOptions(samples=40, seed=3)
+    if name.startswith("hom-"):
+        res = selftest.run_check_hom(name[4:], opts)
+    else:
+        res = selftest.run_suite(name, opts)
+    assert (res.checks, res.failures) == (checks, 1)
+    assert res.first_failure == text
+
+
+# the draws the matrix-unit and reindexing maps made inline before
+# ``_element_or_zero`` replaced them
+
+def matrix_units_draw(rng, fset):
+    if rng.random() < 0.08:
+        return ZERO
+    return Element(rng.randint(-20, 20), rng.randint(-20, 20), fset)
+
+
+def reindex_draw(rng, fset):
+    if rng.random() < 0.06:
+        return ZERO
+    return Element(rng.randint(-16, 16), rng.randint(-16, 16), fset)
+
+
+@pytest.mark.parametrize("referee,span,zero_prob", [
+    (matrix_units_draw, 20, 0.08), (reindex_draw, 16, 0.06)],
+    ids=["matrix-units", "reindex"])
+def test_element_or_zero_draws_as_the_inline_draws(referee, span, zero_prob):
+    fset = EpSet.progression(2, 3)
+    zeros = 0
+    for seed in SEEDS:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            got = _element_or_zero(ours, fset, span, zero_prob)
+            assert got == referee(theirs, fset)
+            zeros += got is ZERO
+        assert ours.getstate() == theirs.getstate()
+    assert zeros > 0
