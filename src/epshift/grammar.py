@@ -96,10 +96,10 @@ class _Parser:
             raise ParseError(f"integer literal of {len(tok.text)} characters "
                              "is too long", tok.line, tok.col, (what,)) from None
 
-    def natural(self, what: str = "a natural number") -> int:
+    def natural(self, what: str = "a natural number", least: int = 0) -> int:
         tok = self.peek()
         n = self.int_value(what)
-        if n < 0:
+        if n < least:
             raise ParseError(f"expected {what}, found {n}", tok.line, tok.col,
                              (what,))
         return n
@@ -134,11 +134,7 @@ class _Parser:
         if tok.kind == "INT":
             start = self.natural("a natural progression start")
             self.expect("PLUS", "'+'")
-            steptok = self.peek()
-            step = self.natural("a positive step")
-            if step < 1:
-                raise ParseError("progression step must be positive",
-                                 steptok.line, steptok.col)
+            step = self.natural("a positive step", least=1)
             self.expect("STAR", "'*'")
             self.expect_name("w")
             return EpSet.progression(start, step)
@@ -239,7 +235,7 @@ def parse_command(text: str):
             p.expect("COMMA", "','")
             a2 = p.natural("new progression start")
             p.expect("COMMA", "','")
-            step = p.natural("progression step")
+            step = p.natural("a positive progression step", least=1)
             p.expect("RPAREN", "')'")
             args = (a1, a2, step)
         cmd = MapCmd(name, args, p.element())

@@ -6,16 +6,21 @@ most 16 members) under a fixed seed, and prints one PASS/FAIL line.
 Run with ``pytest -v`` (or ``-s`` to watch the lines appear).
 """
 
+import hashlib
 import time
 from typing import Tuple
 
 import pytest
 
+from epshift import cli
 from epshift.selftest import (ORACLE_WINDOW, SUITES, SuiteOptions,
                               SuiteResult)
 
 ACCEPTANCE_SEED = 7
 SAMPLES = 10_000
+# of ``epshift selftest --samples 10000 --seed 7``: a change that moves any
+# check, count or rng draw moves it
+SELFTEST_MD5 = "0f629eb47478bf044c3bdc8000a9e53e"
 
 # (number, title, suite, checks at seed 7 and 10^4 samples); the counts
 # catch a referee rewrite that silently drops checks
@@ -73,3 +78,10 @@ def test_acceptance_total_runtime_report():
     print(f"acceptance suites total runtime: {total:.1f}s "
           f"(target < 60s on a desktop machine)")
     assert len(_runs) == len(CRITERIA)
+
+
+def test_selftest_output_bytes():
+    by_suite = {suite: (number, title) for number, title, suite, _ in CRITERIA}
+    results = [_run(*by_suite[suite], suite)[0] for suite in SUITES]
+    out = cli._dump({"result": cli._suite_payload(results)}, cli.RunOptions())
+    assert hashlib.md5((out + "\n").encode()).hexdigest() == SELFTEST_MD5

@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -284,99 +285,108 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_out_of_memory_is_reported_as_json():
-    proc = run_fresh(["-m", "epshift.cli", "green", "(0,0;1+100003*w)",
-                      "(0,0;2+100019*w)", "J"],
-                     timeout=1, preexec_fn=limit_memory)
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"]["code"] == "resource_limit"
+def holds(want, got):
+    """Whether ``got`` has every key of ``want``, at every depth, alike."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and all(
+            k in got and holds(v, got[k]) for k, v in want.items())
+    return type(want) is type(got) and want == got
 
 
-@pytest.mark.parametrize("product,width", [
-    # both thresholds are 0, and the lcm of the periods is 10007 * 10009
-    ("(0,0;2+10007*w) * (0,0;3+10009*w)", 10007 * 10009),
-    # the largest threshold is 10^8 + 1
-    ("(0,0;{100000000}) * (5,0;[0))", 10**8 + 2)],
-    ids=["wide-period", "wide-threshold"])
-def test_a_closure_window_over_the_bound_is_refused_first(product, width):
-    proc = run_fresh(["-m", "epshift.cli", "eval", product],
-                     timeout=1, preexec_fn=limit_memory)
-    assert proc.returncode == 1
-    error = json.loads(proc.stdout)["error"]
-    assert error["code"] == "resource_limit"
-    assert error["quantity"] == "window_bits"
-    assert error["value"] == width
-    assert error["limit"] == MAX_WINDOW_BITS < width
+def row(name, command, timeout, code, want, marks=()):
+    """A row of ``HOSTILE``; ``command`` is split as a shell splits it."""
+    return pytest.param(shlex.split(command), timeout, code, want, id=name,
+                        marks=marks)
 
 
-def test_a_long_period_meets_the_window_bound_in_time():
+RESOURCE_LIMIT = {"error": {"code": "resource_limit"}}
+
+
+def too_wide(bits):
+    return {"error": {"code": "resource_limit", "quantity": "window_bits",
+                      "value": bits, "limit": MAX_WINDOW_BITS}}
+
+
+def bad_step(col, what):
+    return {"error": {"code": "syntax_error", "line": 1, "col": col,
+                      "expected": [what]}}
+
+
+# Still slower than their timeout: each row holds the answer the input gives
+# when let run, so a change that mends one fails (a strict xfail) until the
+# row is promoted, and a wrong answer fails at once.
+TOO_SLOW = pytest.mark.xfail(raises=subprocess.TimeoutExpired)
+
+# Hostile inputs, each run as a new 1 GiB child: the command, a timeout in
+# seconds, the exit code, and what stdout must hold, either a nested subset
+# of its JSON or an exact prefix of its text.
+HOSTILE = [
+    # an lcm-wide mask; only the memory limit answers
+    row("green-lcm-mask", "green '(0,0;1+100003*w)' '(0,0;2+100019*w)' J",
+        1, 1, RESOURCE_LIMIT),
+    # closure windows over the bound are refused before they are built
+    row("wide-period", "eval '(0,0;2+10007*w) * (0,0;3+10009*w)'",
+        1, 1, too_wide(10007 * 10009)),
+    row("wide-threshold", "eval '(0,0;{100000000}) * (5,0;[0))'",
+        1, 1, too_wide(10**8 + 2)),
+    row("giga-head", "eval '(0,0;{1000000000})'", 5, 1, too_wide(10**9 + 2)),
     # the grammar finds the least period of a 10^8-bit pattern first
-    proc = run_fresh(["-m", "epshift.cli", "eval", "(0,0;0+100000000*w)"],
-                     timeout=5, preexec_fn=limit_memory)
-    assert proc.returncode == 1
-    error = json.loads(proc.stdout)["error"]
-    assert error["code"] == "resource_limit"
-    assert error["quantity"] == "window_bits"
-    assert error["value"] == 10**8
-
-
-@pytest.mark.parametrize("argv", [
-    ["eval", "(0,0;{10000000000})"],
-    ["closure{ [10000000000) }"],
-    ["order", "(0,0;{10000000000})", "(0,0;[0))"],
-    ["eval", "(0,0;0+1000000000*w)"]],
-    ids=["eval-head", "closure-ray", "order-head", "eval-period"])
-def test_memory_exhausted_while_parsing_is_a_resource_limit(argv):
+    row("long-period", "eval '(0,0;0+100000000*w)'", 5, 1, too_wide(10**8)),
     # the grammar builds a 10^10-bit mask, or the least period of a 10^9-bit
     # pattern, before any command runs
-    proc = run_fresh(["-m", "epshift.cli", *argv],
-                     timeout=5, preexec_fn=limit_memory)
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"]["code"] == "resource_limit"
-
-
-def test_a_dense_head_is_listed_in_time():
+    row("eval-head", "eval '(0,0;{10000000000})'", 5, 1, RESOURCE_LIMIT),
+    row("closure-ray", "'closure{ [10000000000) }'", 5, 1, RESOURCE_LIMIT),
+    row("order-head", "order '(0,0;{10000000000})' '(0,0;[0))'",
+        5, 1, RESOURCE_LIMIT),
+    row("eval-period", "eval '(0,0;0+1000000000*w)'", 5, 1, RESOURCE_LIMIT),
     # each witness prints a head of 100002 members
-    proc = run_fresh(["-m", "epshift.cli", "green", "(0,0;{200001}|0+2*w)",
-                      "(0,0;{200001}|0+2*w)", "R"],
-                     timeout=2, preexec_fn=limit_memory)
-    assert proc.returncode == 0
-    assert proc.stdout.startswith('{"result":true,"witness":["(0,0;{0,2,4,')
+    row("dense-head", "green '(0,0;{200001}|0+2*w)' '(0,0;{200001}|0+2*w)' R",
+        2, 0, '{"result":true,"witness":["(0,0;{0,2,4,'),
+    row("green-shift-window", "green '(0,0;{0,2}|[50000))' "
+        "'(0,0;{1}|[50001))' J", 2, 0, {"result": True}),
+    # validation cuts each member with p down-shifts of a p-bit window
+    row("validate-period", "classify 'family{ {}; 0+20011*w }'", 2, 0,
+        {"result": {"iso_type": "ZeroBisimpleProgression", "i0": 0,
+                    "j0": 20011}}),
+    row("validate-long-period", "classify 'family{ {}; 0+100003*w }'", 10, 0,
+        {"result": {"iso_type": "ZeroBisimpleProgression", "j0": 100003}}),
+    row("validate-wide-ray", "classify 'family{ [2000000) }'", 10, 1,
+        too_wide(2000001)),
+    row("open-family-witness", "classify 'family{ {3}; {4} }'", 10, 1,
+        '{"error":{"code":"not_omega_closed","f1":"{3}","f2":"{3}","message":'
+        '"{3} \\u2229 shift({3}, -1) = {} is outside the family","n":1}}\n'),
+    row("reindex-zero-step", "map 'reindex(2,0,0)' '(0,1;2+3*w)'", 1, 2,
+        bad_step(17, "a positive progression step")),
+    row("reindex-zero-step-on-zero", "map 'reindex(2,0,0)' 0", 1, 2,
+        bad_step(17, "a positive progression step")),
+    row("set-zero-step", "eval '(0,1;2+0*w)'", 1, 2,
+        bad_step(13, "a positive step")),
+    # close() folds every down-shift of a window of about a million bits
+    row("close-long-period", "eval '(0,0;0+1000003*w)'", 1, 0,
+        {"result": "(0,0;0+1000003*w)"}, TOO_SLOW),
+    row("close-singleton", "eval '(7,5;{703601})'", 1, 0,
+        {"result": "(7,5;{703601})"}, TOO_SLOW),
+    row("close-ray", "'closure{ [563444) }'", 1, 0, {"result": {
+        "has_empty": False, "members": ["[563444)"], "size": 1}}, TOO_SLOW),
+    # exists_shift_subset tests each k < t2 + p2 on a t2-wide window
+    row("green-shift-scan", "green '(-7,-5;44+4*w|{})' "
+        "'(-8,7;[567694)|{238,118})' J", 1, 0, {"result": False}, TOO_SLOW),
+    # validation: 500001 cuts of 500001 bits
+    row("validate-ray", "classify 'family{ [500000) }'", 1, 0, {"result": {
+        "iso_type": "ExtendedBicyclic", "simple": True, "bisimple": True}},
+        TOO_SLOW),
+]
 
 
-def classify_fresh(family):
-    """``classify`` in a new interpreter limited to 1 GiB of address space."""
-    proc = run_fresh(["-m", "epshift.cli", "classify", family],
-                     timeout=10, preexec_fn=limit_memory)
-    return proc.returncode, proc.stdout
-
-
-def test_validating_a_long_period_answers_a_report():
-    # 100003 down-shifts of a 100003-bit window, each cut in one shift and &
-    code, out = classify_fresh("family{ {}; 0+100003*w }")
-    assert code == 0
-    report = json.loads(out)["result"]
-    assert report["iso_type"] == "ZeroBisimpleProgression"
-    assert report["j0"] == 100003
-
-
-def test_validating_a_window_over_the_bound_is_refused_first():
-    code, out = classify_fresh("family{ [2000000) }")
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["code"] == "resource_limit"
-    assert error["quantity"] == "window_bits"
-    assert error["value"] == 2000001
-    assert error["limit"] == MAX_WINDOW_BITS
-
-
-def test_an_open_family_keeps_its_witness():
-    code, out = classify_fresh("family{ {3}; {4} }")
-    assert code == 1
-    assert out == (
-        '{"error":{"code":"not_omega_closed","f1":"{3}","f2":"{3}",'
-        '"message":"{3} \\u2229 shift({3}, -1) = {} is outside the family",'
-        '"n":1}}\n')
+@pytest.mark.parametrize("argv, timeout, code, want", HOSTILE)
+def test_hostile_input(argv, timeout, code, want):
+    proc = run_fresh(["-m", "epshift.cli", *argv], timeout=timeout,
+                     preexec_fn=limit_memory)
+    assert proc.returncode == code, proc.stderr
+    if isinstance(want, str):
+        assert proc.stdout.startswith(want), proc.stdout[:200]
+    else:
+        assert holds(want, json.loads(proc.stdout)), proc.stdout[:200]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"],
