@@ -42,20 +42,10 @@ class StructureReport(Frozen):
             object.__setattr__(self, name, values[name])
 
     def as_dict(self) -> dict:
-        out = {
-            "has_zero": self.has_zero,
-            "has_identity": self.has_identity,
-            "simple": self.simple,
-            "zero_simple": self.zero_simple,
-            "bisimple": self.bisimple,
-            "zero_bisimple": self.zero_bisimple,
-            "e_unitary": self.e_unitary,
-            "iso_type": self.iso_type,
-            "contains_extended_bicyclic": self.contains_extended_bicyclic,
-            "d_classes": self.d_classes,
-            "witnesses": {k: [str(x) for x in v]
-                          for k, v in sorted(self.witnesses.items())},
-        }
+        out = dict(zip(self.__slots__, self._values(self)))
+        del out["iso_params"]
+        out["witnesses"] = {k: [str(x) for x in v]
+                            for k, v in sorted(self.witnesses.items())}
         if self.iso_type == ISO_PROGRESSION:
             out["i0"], out["j0"] = self.iso_params
         elif self.iso_type == ISO_MATRIX_UNITS:

@@ -205,18 +205,17 @@ def _check_options(opts: RunOptions):
 
 
 def run_with_code(cmd, opts: RunOptions = None):
-    return _answer(lambda: cmd, opts or RunOptions())
+    """The JSON and exit code of running ``cmd``, a parsed command or the
+    command's text.
 
-
-def _answer(command, opts: RunOptions):
-    """The JSON and exit code of running ``command()``'s result.
-
-    Parsing happens inside ``command()``, so an error while parsing gets
+    Text is parsed inside the same handler, so an error while parsing gets
     the same answer as one while running: memory exhausted while the
     grammar builds a set is ``resource_limit``, as it is in ``close()``.
     """
+    opts = opts or RunOptions()
     try:
-        cmd = command()
+        if isinstance(cmd, str):
+            cmd = parse(cmd)
         _check_options(opts)
         payload = _RUNNERS[type(cmd)](cmd, opts)
         code = EXIT_OK
@@ -287,7 +286,7 @@ def main(argv=None) -> int:
     if not text:
         print(_USAGE, file=sys.stderr)
         return EXIT_SYNTAX
-    out, code = _answer(lambda: parse(text), opts)
+    out, code = run_with_code(text, opts)
     print(out)
     return code
 

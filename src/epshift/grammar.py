@@ -38,7 +38,7 @@ def _tokenize(text: str):
         if not s.isspace():
             if s in _PUNCT:
                 kind = _PUNCT[s]
-            elif s[0].isdigit() or (s[0] == "-" and len(s) > 1):
+            elif s[0].isdecimal() or (s[0] == "-" and len(s) > 1):
                 kind = "INT"
             elif s[0].isalpha():
                 kind = "NAME"

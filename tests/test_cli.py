@@ -1,5 +1,6 @@
 """End-to-end CLI: golden outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import resource
@@ -39,6 +40,11 @@ def test_eval_golden(capsys):
 def test_parse_run_library_surface():
     cmd = cli.parse("eval (0,0;[0)) * (1,1;[0))")
     assert cli.run(cmd) == '{"result":"(1,1;[0))"}'
+    # the command's text is parsed inside the same handler as running it
+    assert cli.run("eval (0,0;[0)) * (1,1;[0))") == cli.run(cmd)
+    out, code = cli.run_with_code("eval (0,0;[0)) *")
+    assert code == cli.EXIT_SYNTAX
+    assert json.loads(out)["error"]["code"] == "syntax_error"
     report = json.loads(cli.run(cli.parse("classify closure{ {3} }")))
     assert report["result"]["iso_type"] == "MatrixUnitsOmega"
 
@@ -166,6 +172,30 @@ def test_check_hom_and_oracle(capsys):
     assert code == 0 and json.loads(out)["result"]["passed"] is True
     code, out = run_cli(capsys, "oracle-check", "--samples", "30")
     assert code == 0 and json.loads(out)["result"]["passed"] is True
+
+
+# of ``epshift check-hom <name> --samples 300`` at seed 7, newline
+# included: a change that moves any check, count or rng draw moves it
+CHECK_HOM_MD5 = {
+    "sigma": "acfc587fe352efc7974586e04dbf3742",
+    "ext-bicyclic": "27f3bbb86838051efe6f386211e7036d",
+    "shift-iso": "166744fbe0f256f0e600b143677568cb",
+    "matrix-units": "948aeacf18063d451a5a421a4df964bb",
+    "brandt": "b0dbfdca946b2ee7d705ba76469142f4",
+    "reindex": "c16e6b94b310a5fbbd3275aa41edeb89",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_HOM_MD5))
+def test_check_hom_output_is_pinned(capsys, name):
+    from epshift import grammar, selftest
+
+    # the grammar's names and the harness's are one list
+    assert set(grammar.HOM_NAMES) == set(selftest._HOM_SUITES) \
+        == set(CHECK_HOM_MD5)
+    assert cli.main(["check-hom", name, "--samples", "300"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == CHECK_HOM_MD5[name]
 
 
 def test_oracle_check_is_selftest_oracle(capsys):

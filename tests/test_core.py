@@ -104,10 +104,11 @@ def test_product_set_stays_in_family(rng):
         except ClosureDiverged:
             continue
         ctx = SemigroupCtx(fam)
+        from epshift.selftest import element_drawer
+        draw = element_drawer(rng, fam, span=10)
         for _ in range(40):
-            from epshift.selftest import random_element
-            a = random_element(rng, fam, span=10)
-            b = random_element(rng, fam, span=10)
+            a = draw()
+            b = draw()
             c = ctx.mul(a, b)
             assert ctx.contains(c)
 
@@ -319,9 +320,10 @@ def test_is_idempotent():
 def test_inverse_axioms_randomized(rng):
     ctx = prog_ctx()
     fam = ctx.family
-    from epshift.selftest import random_element
+    from epshift.selftest import element_drawer
+    draw = element_drawer(rng, fam, span=15)
     for _ in range(800):
-        a = random_element(rng, fam, span=15)
+        a = draw()
         ai = inverse(a)
         assert ctx.mul(ctx.mul(a, ai), a) == a
         assert ctx.mul(ctx.mul(ai, a), ai) == ai
@@ -339,12 +341,12 @@ def test_natural_leq_examples():
 
 
 def test_natural_leq_definitional(rng):
-    from epshift.selftest import random_element
+    from epshift.selftest import element_drawer
     ctx = prog_ctx()
-    fam = ctx.family
+    draw = element_drawer(rng, ctx.family, span=12)
     for _ in range(800):
-        a = random_element(rng, fam, span=12)
-        b = random_element(rng, fam, span=12)
+        a = draw()
+        b = draw()
         assert natural_leq(a, b) == (ctx.mul(ctx.mul(a, inverse(a)), b) == a)
 
 
@@ -395,11 +397,11 @@ def test_green_criteria_examples():
 
 
 def test_green_h_is_equality(rng):
-    from epshift.selftest import random_element
-    fam = close([EpSet.of(0, 1)])
+    from epshift.selftest import element_drawer
+    draw = element_drawer(rng, close([EpSet.of(0, 1)]), span=6)
     for _ in range(500):
-        a = random_element(rng, fam, span=6)
-        b = random_element(rng, fam, span=6)
+        a = draw()
+        b = draw()
         assert green(a, b, "H") == (a == b)
 
 

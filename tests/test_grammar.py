@@ -83,6 +83,14 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         grammar.parse_command("green (0,0;{1}) (0,0;{1}) Q")
     assert "R" in " ".join(err.value.expected)
+    # digits that are not decimal are no integer literal; a decimal digit
+    # of another script is one
+    for text, col in (("eval (²,0;{1})", 7), ("eval (0,0;{①})", 12)):
+        with pytest.raises(ParseError) as err:
+            grammar.parse_command(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert err.value.message == f"unexpected character {text[col - 1]!r}"
+    assert grammar.parse_element("(٣,0;{1})") == Element(3, 0, EpSet.of(1))
     with pytest.raises(ParseError):
         grammar.parse_set("{-1}")
     with pytest.raises(ParseError):
