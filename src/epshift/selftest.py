@@ -103,15 +103,11 @@ class SuiteResult(Fields):
         return out
 
 
-def _rng(opts: SuiteOptions, name: str) -> Random:
-    return Random(f"{opts.seed}:{name}")
-
-
 def _run(name: str, body: Callable, opts: SuiteOptions) -> SuiteResult:
     """The tally of the suite ``name``: ``body(res, rng, opts)`` checks into
-    a fresh ``res`` with the rng drawn from ``(opts.seed, name)``."""
+    a fresh ``res`` with the rng seeded by ``(opts.seed, name)``."""
     res = SuiteResult(name, opts.seed)
-    body(res, _rng(opts, name), opts)
+    body(res, Random(f"{opts.seed}:{name}"), opts)
     return res
 
 

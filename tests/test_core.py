@@ -97,6 +97,7 @@ def test_corrupted_context_surfaces_empty_product():
 
 def test_product_set_stays_in_family(rng):
     from epshift.errors import ClosureDiverged
+    from epshift.selftest import element_drawer
     for _ in range(60):
         try:
             fam = close([random_epset(rng, max_threshold=5, max_period=4)
@@ -104,7 +105,6 @@ def test_product_set_stays_in_family(rng):
         except ClosureDiverged:
             continue
         ctx = SemigroupCtx(fam)
-        from epshift.selftest import element_drawer
         draw = element_drawer(rng, fam, span=10)
         for _ in range(40):
             a = draw()
