@@ -2,9 +2,10 @@
 
 Everything is decided on the family alone: the zero exists iff the empty
 set is a member, D-classes of nonzero elements correspond to nonempty
-members, and (0-)simplicity reduces to mutual shift-containment between
-members.  The isomorphism type is resolved in a fixed priority order, with
-witnesses recorded for every negative verdict.
+members, the semigroup is simple iff it has no zero, and 0-simplicity
+reduces to mutual shift-containment between members.  The isomorphism type
+is resolved in a fixed priority order, with witnesses recorded for every
+negative verdict.
 """
 
 from __future__ import annotations
@@ -91,14 +92,12 @@ def classify(ctx: SemigroupCtx) -> StructureReport:
     has_identity = has_zero and len(members) == 1
     witnesses: Dict[str, tuple] = {}
 
-    mutual_fail = _mutual_witness(nonempty)
-
-    simple = not has_zero and mutual_fail is None
-    if not simple:
-        if has_zero:
-            witnesses["simple"] = ("0",)
-        elif mutual_fail is not None:
-            witnesses["simple"] = mutual_fail
+    # with no empty member, every member holds a ray and so shift-contains
+    # every other: only a zero keeps the semigroup from being simple
+    mutual_fail = _mutual_witness(nonempty) if has_zero else None
+    simple = not has_zero
+    if has_zero:
+        witnesses["simple"] = ("0",)
 
     zero_simple = has_zero and bool(nonempty) and mutual_fail is None
     if not zero_simple:

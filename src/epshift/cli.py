@@ -75,16 +75,13 @@ def _suite_options(opts: RunOptions):
     return SuiteOptions(samples=opts.samples, seed=opts.seed)
 
 
-def _eval_context(factors, opts: RunOptions) -> SemigroupCtx:
+def _run_eval(cmd, opts: RunOptions):
+    factors = cmd.factors
     gens = [f.fset for f in factors if not f.is_zero]
     if any(f.is_zero for f in factors) or not gens:
         gens.append(EMPTY)
-    return SemigroupCtx(close(gens, cap=opts.max_family))
-
-
-def _run_eval(cmd, opts: RunOptions):
-    ctx = _eval_context(cmd.factors, opts)
-    return {"result": str(ctx.mul_all(*cmd.factors))}
+    ctx = SemigroupCtx(close(gens, cap=opts.max_family))
+    return {"result": str(ctx.mul_all(*factors))}
 
 
 def _run_closure(cmd, opts: RunOptions):
@@ -132,10 +129,8 @@ def _run_map(cmd, opts: RunOptions):
         old_start, new_start, step = cmd.args
         return {"result": str(progression_reindex(a, old_start, new_start,
                                                   step))}
-    if a.is_zero:
-        ctx = SemigroupCtx(close([EMPTY], cap=opts.max_family))
-    else:
-        ctx = SemigroupCtx(close([a.fset], cap=opts.max_family))
+    ctx = SemigroupCtx(close([EMPTY if a.is_zero else a.fset],
+                             cap=opts.max_family))
     if cmd.name == "sigma":
         return {"result": sigma_hom(a, ctx)}
     if cmd.name == "ext-bicyclic":
@@ -144,11 +139,8 @@ def _run_map(cmd, opts: RunOptions):
 
 
 def _suite_payload(results):
-    payload = {
-        "passed": all(r.passed for r in results),
-        "suites": [r.as_dict() for r in results],
-    }
-    return payload
+    return {"passed": all(r.passed for r in results),
+            "suites": [r.as_dict() for r in results]}
 
 
 def _run_check_hom(cmd, opts: RunOptions):
@@ -162,10 +154,8 @@ def _run_selftest(cmd, opts: RunOptions):
     from .selftest import SUITES, run_suite
 
     sopts = _suite_options(opts)
-    if cmd.suite is not None:
-        results = [run_suite(cmd.suite, sopts)]
-    else:
-        results = [fn(sopts) for fn in SUITES.values()]
+    names = SUITES if cmd.suite is None else [cmd.suite]
+    results = [run_suite(name, sopts) for name in names]
     return {"result": _suite_payload(results)}
 
 
@@ -179,17 +169,6 @@ _RUNNERS = {
     grammar.CheckHomCmd: _run_check_hom,
     grammar.SelfTestCmd: _run_selftest,
 }
-
-
-def parse(text: str):
-    """Parse one command; see :func:`grammar.parse_command`."""
-    return grammar.parse_command(text)
-
-
-def run(cmd, opts: RunOptions = None) -> str:
-    """Execute a parsed command and return its JSON output."""
-    text, _code = run_with_code(cmd, opts)
-    return text
 
 
 def _check_options(opts: RunOptions):
@@ -215,7 +194,7 @@ def run_with_code(cmd, opts: RunOptions = None):
     opts = opts or RunOptions()
     try:
         if isinstance(cmd, str):
-            cmd = parse(cmd)
+            cmd = grammar.parse_command(cmd)
         _check_options(opts)
         payload = _RUNNERS[type(cmd)](cmd, opts)
         code = EXIT_OK
@@ -229,7 +208,7 @@ def run_with_code(cmd, opts: RunOptions = None):
         code = EXIT_SYNTAX
     except DomainError as exc:
         payload = {"error": {"code": exc.code, "message": str(exc),
-                             **{k: v for k, v in exc.details.items()}}}
+                             **exc.details}}
         code = EXIT_DOMAIN
     except ValueError as exc:
         payload = {"error": {"code": "invalid_value", "message": str(exc)}}

@@ -4,6 +4,13 @@ Set atoms: ``{}``, ``{a,b,c}``, ``[k)``, ``a+p*w``; unions with ``|``.
 Elements: ``(i,j;<set>)`` or ``0``; products with ``*``.
 Families: ``family{ <set>; ... }`` or ``closure{ <set>; ... }``.
 
+The token pattern alone decides each token's kind, by the group that
+matched: ``INT`` (decimal digits of any script), ``NAME`` (an ASCII letter
+first), a punctuation character, whose kind is the character itself, or
+whitespace.  Anything else, a letter outside ASCII included, is an
+unexpected character.  A token keeps only its offset in the text; the line
+and column are computed when a :class:`ParseError` is raised.
+
 Printing lives on the value types themselves; parsing any printed value
 returns an equal value (everything normalizes to canonical form).
 """
@@ -16,47 +23,37 @@ from typing import Tuple
 
 from .core import Element, ZERO
 from .errors import ParseError
+from .family import Family, close
 from .omega_sets import EpSet, union
 
-_TOKEN_RE = re.compile(r"-?\d+|[A-Za-z][A-Za-z0-9_-]*|[{}\[\]();,*|+]|\s+|.")
-
-_PUNCT = {
-    "{": "LBRACE", "}": "RBRACE", "[": "LBRACK", "]": "RBRACK",
-    "(": "LPAREN", ")": "RPAREN", ";": "SEMI", ",": "COMMA",
-    "*": "STAR", "|": "PIPE", "+": "PLUS",
-}
+_TOKEN_RE = re.compile(r"(?P<INT>-?\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_-]*)"
+                       r"|(?P<PUNCT>[{}\[\]();,*|+])|(?P<SPACE>\s+)|(?P<BAD>.)")
 
 
-Token = namedtuple("Token", "kind text line col")
+Token = namedtuple("Token", "kind text pos")
+
+
+def _position(text: str, pos: int):
+    """The line and column of offset ``pos``; only a newline starts a line."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
     for m in _TOKEN_RE.finditer(text):
-        s = m.group(0)
-        if not s.isspace():
-            if s in _PUNCT:
-                kind = _PUNCT[s]
-            elif s[0].isdecimal() or (s[0] == "-" and len(s) > 1):
-                kind = "INT"
-            elif s[0].isalpha():
-                kind = "NAME"
-            else:
-                raise ParseError(f"unexpected character {s!r}", line, col)
-            tokens.append(Token(kind, s, line, col))
-        for ch in s:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-    tokens.append(Token("EOF", "", line, col))
+        kind, s = m.lastgroup, m.group()
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {s!r}",
+                             *_position(text, m.start()))
+        if kind != "SPACE":
+            tokens.append(Token(s if kind == "PUNCT" else kind, s, m.start()))
+    tokens.append(Token("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -69,9 +66,10 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str, expected=()):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
+    def error(self, message: str, expected=(), tok=None):
+        """Raise at ``tok``, by default the next token."""
+        tok = tok or self.peek()
+        raise ParseError(message, *_position(self.text, tok.pos), expected)
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
@@ -93,49 +91,47 @@ class _Parser:
         try:
             return int(tok.text)
         except ValueError:  # past Python's digit limit for int()
-            raise ParseError(f"integer literal of {len(tok.text)} characters "
-                             "is too long", tok.line, tok.col, (what,)) from None
+            pass
+        self.error(f"integer literal of {len(tok.text)} characters "
+                   "is too long", (what,), tok)
 
     def natural(self, what: str = "a natural number", least: int = 0) -> int:
         tok = self.peek()
         n = self.int_value(what)
         if n < least:
-            raise ParseError(f"expected {what}, found {n}", tok.line, tok.col,
-                             (what,))
+            self.error(f"expected {what}, found {n}", (what,), tok)
         return n
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
-
     def expect_end(self):
-        if not self.at_end():
-            self.error(f"unexpected trailing input {self.peek().text!r}",
+        tok = self.peek()
+        if tok.kind != "EOF":
+            self.error(f"unexpected trailing input {tok.text!r}",
                        expected=("end of input",))
 
     # -- set expressions --------------------------------------------------
 
     def set_atom(self) -> EpSet:
         tok = self.peek()
-        if tok.kind == "LBRACE":
+        if tok.kind == "{":
             self.advance()
             members = []
-            if self.peek().kind != "RBRACE":
+            if self.peek().kind != "}":
                 members.append(self.natural("a natural member"))
-                while self.peek().kind == "COMMA":
+                while self.peek().kind == ",":
                     self.advance()
                     members.append(self.natural("a natural member"))
-            self.expect("RBRACE", "'}'")
+            self.expect("}", "'}'")
             return EpSet.from_members(members)
-        if tok.kind == "LBRACK":
+        if tok.kind == "[":
             self.advance()
             k = self.natural("a natural ray start")
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return EpSet.ray(k)
         if tok.kind == "INT":
             start = self.natural("a natural progression start")
-            self.expect("PLUS", "'+'")
+            self.expect("+", "'+'")
             step = self.natural("a positive step", least=1)
-            self.expect("STAR", "'*'")
+            self.expect("*", "'*'")
             self.expect_name("w")
             return EpSet.progression(start, step)
         self.error("expected a set: '{...}', '[k)' or 'a+p*w'",
@@ -143,7 +139,7 @@ class _Parser:
 
     def set_expr(self) -> EpSet:
         acc = self.set_atom()
-        while self.peek().kind == "PIPE":
+        while self.peek().kind == "|":
             self.advance()
             acc = union(acc, self.set_atom())
         return acc
@@ -155,20 +151,20 @@ class _Parser:
         if tok.kind == "INT" and tok.text == "0":
             self.advance()
             return ZERO
-        self.expect("LPAREN", "'(' or '0'")
+        self.expect("(", "'(' or '0'")
         i = self.int_value()
-        self.expect("COMMA", "','")
+        self.expect(",", "','")
         j = self.int_value()
-        self.expect("SEMI", "';'")
+        self.expect(";", "';'")
         fset = self.set_expr()
-        self.expect("RPAREN", "')'")
+        self.expect(")", "')'")
         if fset.is_empty:
             return ZERO
         return Element(i, j, fset)
 
     def product(self) -> Tuple[Element, ...]:
         factors = [self.element()]
-        while self.peek().kind == "STAR":
+        while self.peek().kind == "*":
             self.advance()
             factors.append(self.element())
         return tuple(factors)
@@ -177,14 +173,14 @@ class _Parser:
 
     def family_literal(self) -> Tuple[str, Tuple[EpSet, ...]]:
         kw = self.expect_name("family", "closure").text
-        self.expect("LBRACE", "'{'")
+        self.expect("{", "'{'")
         sets = [self.set_expr()]
-        while self.peek().kind == "SEMI":
+        while self.peek().kind == ";":
             self.advance()
-            if self.peek().kind == "RBRACE":
+            if self.peek().kind == "}":
                 break
             sets.append(self.set_expr())
-        self.expect("RBRACE", "'}'")
+        self.expect("}", "'}'")
         return kw, tuple(sets)
 
 
@@ -201,79 +197,69 @@ SelfTestCmd = namedtuple("SelfTestCmd", "suite")  # suite: a name or None
 
 
 MAP_NAMES = ("sigma", "ext-bicyclic", "matrix-units", "brandt", "reindex")
-HOM_NAMES = ("sigma", "ext-bicyclic", "matrix-units", "brandt", "reindex",
-             "shift-iso")
+HOM_NAMES = (*MAP_NAMES, "shift-iso")
+
+
+def _command(p: _Parser):
+    head = p.expect_name("eval", "closure", "classify", "green", "order",
+                         "map", "check-hom", "oracle-check", "selftest").text
+    if head == "eval":
+        return EvalCmd(p.product())
+    if head == "closure":
+        p.pos -= 1  # the keyword doubles as the family literal opener
+        return ClosureCmd(p.family_literal()[1])
+    if head == "classify":
+        return ClassifyCmd(*p.family_literal())
+    if head == "green":
+        return GreenCmd(p.element(), p.element(),
+                        p.expect_name("R", "L", "H", "D", "J").text)
+    if head == "order":
+        return OrderCmd(p.element(), p.element())
+    if head == "map":
+        name = p.expect_name(*MAP_NAMES).text
+        args: Tuple[int, ...] = ()
+        if name == "reindex":
+            p.expect("(", "'('")
+            a1 = p.natural("old progression start")
+            p.expect(",", "','")
+            a2 = p.natural("new progression start")
+            p.expect(",", "','")
+            step = p.natural("a positive progression step", least=1)
+            p.expect(")", "')'")
+            args = (a1, a2, step)
+        return MapCmd(name, args, p.element())
+    if head == "check-hom":
+        return CheckHomCmd(p.expect_name(*HOM_NAMES).text)
+    if head == "oracle-check":
+        return SelfTestCmd("oracle")
+    return SelfTestCmd(p.advance().text if p.peek().kind == "NAME" else None)
+
+
+# -- entry points -------------------------------------------------------------
+
+def _parse_all(text: str, rule):
+    """Run ``rule`` on a parser of ``text`` and require the end after it."""
+    p = _Parser(text)
+    out = rule(p)
+    p.expect_end()
+    return out
 
 
 def parse_command(text: str):
     """Parse one CLI command; raises :class:`ParseError` with position info."""
-    p = _Parser(text)
-    head = p.expect_name("eval", "closure", "classify", "green", "order",
-                         "map", "check-hom", "oracle-check", "selftest").text
-    if head == "eval":
-        cmd = EvalCmd(p.product())
-    elif head == "closure":
-        p.pos -= 1  # the keyword doubles as the family literal opener
-        _, sets = p.family_literal()
-        cmd = ClosureCmd(sets)
-    elif head == "classify":
-        kind, sets = p.family_literal()
-        cmd = ClassifyCmd(kind, sets)
-    elif head == "green":
-        a = p.element()
-        b = p.element()
-        rel = p.expect_name("R", "L", "H", "D", "J").text
-        cmd = GreenCmd(a, b, rel)
-    elif head == "order":
-        cmd = OrderCmd(p.element(), p.element())
-    elif head == "map":
-        name = p.expect_name(*MAP_NAMES).text
-        args: Tuple[int, ...] = ()
-        if name == "reindex":
-            p.expect("LPAREN", "'('")
-            a1 = p.natural("old progression start")
-            p.expect("COMMA", "','")
-            a2 = p.natural("new progression start")
-            p.expect("COMMA", "','")
-            step = p.natural("a positive progression step", least=1)
-            p.expect("RPAREN", "')'")
-            args = (a1, a2, step)
-        cmd = MapCmd(name, args, p.element())
-    elif head == "check-hom":
-        cmd = CheckHomCmd(p.expect_name(*HOM_NAMES).text)
-    elif head == "oracle-check":
-        cmd = SelfTestCmd("oracle")
-    else:
-        suite = None
-        if p.peek().kind == "NAME":
-            suite = p.advance().text
-        cmd = SelfTestCmd(suite)
-    p.expect_end()
-    return cmd
+    return _parse_all(text, _command)
 
-
-# -- standalone value parsers ---------------------------------------------
 
 def parse_set(text: str) -> EpSet:
-    p = _Parser(text)
-    out = p.set_expr()
-    p.expect_end()
-    return out
+    return _parse_all(text, _Parser.set_expr)
 
 
 def parse_element(text: str) -> Element:
-    p = _Parser(text)
-    out = p.element()
-    p.expect_end()
-    return out
+    return _parse_all(text, _Parser.element)
 
 
 def parse_family(text: str):
-    from .family import Family, close
-
-    p = _Parser(text)
-    kind, sets = p.family_literal()
-    p.expect_end()
+    kind, sets = _parse_all(text, _Parser.family_literal)
     if kind == "closure":
         return close(sets)
     return Family(sets)

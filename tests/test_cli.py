@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import epshift
-from epshift import cli
+from epshift import cli, grammar
 from epshift.family import MAX_WINDOW_BITS
 
 SRC = os.path.dirname(os.path.dirname(epshift.__file__))
@@ -38,15 +38,16 @@ def test_eval_golden(capsys):
 
 
 def test_parse_run_library_surface():
-    cmd = cli.parse("eval (0,0;[0)) * (1,1;[0))")
-    assert cli.run(cmd) == '{"result":"(1,1;[0))"}'
+    cmd = grammar.parse_command("eval (0,0;[0)) * (1,1;[0))")
+    assert cli.run_with_code(cmd) == ('{"result":"(1,1;[0))"}', cli.EXIT_OK)
     # the command's text is parsed inside the same handler as running it
-    assert cli.run("eval (0,0;[0)) * (1,1;[0))") == cli.run(cmd)
+    assert cli.run_with_code("eval (0,0;[0)) * (1,1;[0))") \
+        == cli.run_with_code(cmd)
     out, code = cli.run_with_code("eval (0,0;[0)) *")
     assert code == cli.EXIT_SYNTAX
     assert json.loads(out)["error"]["code"] == "syntax_error"
-    report = json.loads(cli.run(cli.parse("classify closure{ {3} }")))
-    assert report["result"]["iso_type"] == "MatrixUnitsOmega"
+    out, _ = cli.run_with_code(grammar.parse_command("classify closure{ {3} }"))
+    assert json.loads(out)["result"]["iso_type"] == "MatrixUnitsOmega"
 
 
 def test_eval_zero_collapse(capsys):
@@ -144,6 +145,66 @@ def test_an_integer_literal_too_long_for_int_is_a_syntax_error(capsys):
     assert "5000" in err["message"]
 
 
+def syntax_error(line, col, expected, message):
+    return json.dumps({"error": {"code": "syntax_error", "col": col,
+                                 "expected": expected, "line": line,
+                                 "message": message}},
+                      separators=(",", ":"), sort_keys=True) + "\n"
+
+
+HEADS = ["eval", "closure", "classify", "green", "order", "map", "check-hom",
+         "oracle-check", "selftest"]
+
+# The exact stdout and exit code of inputs at the grammar's edges: each
+# row is the argv, the exit code and the whole of stdout.
+SYNTAX_ANSWERS = [
+    pytest.param(["eval", "(0,0;[0)) *"], 2, syntax_error(
+        1, 17, ["'(' or '0'"], "expected '(' or '0', found 'end of input'"),
+        id="end-after-star"),
+    # only a newline starts a line
+    pytest.param(["eval", "(0,0;{1}\n| [x))"], 2, syntax_error(
+        2, 4, ["a natural ray start"], "expected a natural ray start, "
+        "found 'x'"), id="newline-in-word"),
+    # a tab is one column
+    pytest.param(["eval\t(0,0;\t{1}) x"], 2, syntax_error(
+        1, 17, ["end of input"], "unexpected trailing input 'x'"), id="tab"),
+    # a digit that is not decimal is no integer literal
+    pytest.param(["eval", "(\u00b2,0;{1})"], 2, syntax_error(
+        1, 7, [], "unexpected character '\u00b2'"), id="superscript-two"),
+    # a decimal digit of another script is one
+    pytest.param(["eval", "(\u0663,0;{1})"], 0, '{"result":"(3,0;{1})"}\n',
+                 id="arabic-indic-three"),
+    pytest.param(["eval", "(0,0;{" + "9" * 5000 + "})"], 2, syntax_error(
+        1, 12, ["a natural member"],
+        "integer literal of 5000 characters is too long"), id="long-literal"),
+    pytest.param(["order", "(0,0;{1})", "(0,0;{1})", "extra"], 2,
+                 syntax_error(1, 27, ["end of input"],
+                              "unexpected trailing input 'extra'"),
+                 id="trailing-input"),
+    pytest.param(["eval", "(0,1;2+0*w)"], 2, syntax_error(
+        1, 13, ["a positive step"], "expected a positive step, found 0"),
+        id="zero-step"),
+    pytest.param(["frobnicate", "{0}"], 2, syntax_error(
+        1, 1, HEADS, f"expected {' or '.join(HEADS)}, found 'frobnicate'"),
+        id="unknown-head"),
+    # the command's syntax is reported before a flag's value
+    pytest.param(["--seed", "x", "eval", "(0,0;"], 2, syntax_error(
+        1, 11, ["set"], "expected a set: '{...}', '[k)' or 'a+p*w'"),
+        id="syntax-before-flag-value"),
+    # a letter outside ASCII is an unexpected character, wherever it stands
+    pytest.param(["selftest", "\u00e9"], 2, syntax_error(
+        1, 10, [], "unexpected character '\u00e9'"), id="non-ascii-suite"),
+    pytest.param(["map", "\u03c3", "(0,0;{1})"], 2, syntax_error(
+        1, 5, [], "unexpected character '\u03c3'"), id="non-ascii-map"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", SYNTAX_ANSWERS)
+def test_syntax_answers_are_pinned(capsys, argv, code, stdout):
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == stdout
+
+
 def test_no_command_prints_usage(capsys):
     code = cli.main([])
     assert code == 2
@@ -188,7 +249,7 @@ CHECK_HOM_MD5 = {
 
 @pytest.mark.parametrize("name", sorted(CHECK_HOM_MD5))
 def test_check_hom_output_is_pinned(capsys, name):
-    from epshift import grammar, selftest
+    from epshift import selftest
 
     # the grammar's names and the harness's are one list
     assert set(grammar.HOM_NAMES) == set(selftest._HOM_SUITES) \
@@ -526,7 +587,7 @@ def test_cli_import_loads_only_what_commands_share():
 # prints the loaded modules to stderr once ``cli.main`` has answered
 MODULES_AFTER = """
 import sys
-from epshift import cli
+from epshift import cli, grammar
 code = cli.main(sys.argv[1:])
 sys.stderr.write(" ".join(sys.modules))
 raise SystemExit(code)

@@ -83,9 +83,10 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         grammar.parse_command("green (0,0;{1}) (0,0;{1}) Q")
     assert "R" in " ".join(err.value.expected)
-    # digits that are not decimal are no integer literal; a decimal digit
-    # of another script is one
-    for text, col in (("eval (²,0;{1})", 7), ("eval (0,0;{①})", 12)):
+    # digits that are not decimal are no integer literal, and a letter
+    # outside ASCII starts no name; a decimal digit of another script is one
+    for text, col in (("eval (²,0;{1})", 7), ("eval (0,0;{①})", 12),
+                      ("é {0}", 1), ("map σ (0,0;{1})", 5)):
         with pytest.raises(ParseError) as err:
             grammar.parse_command(text)
         assert (err.value.line, err.value.col) == (1, col)
