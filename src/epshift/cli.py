@@ -75,8 +75,7 @@ def _suite_options(opts: RunOptions):
     return SuiteOptions(samples=opts.samples, seed=opts.seed)
 
 
-def _run_eval(cmd, opts: RunOptions):
-    factors = cmd.factors
+def _run_eval(opts: RunOptions, factors):
     gens = [f.fset for f in factors if not f.is_zero]
     if any(f.is_zero for f in factors) or not gens:
         gens.append(EMPTY)
@@ -84,8 +83,8 @@ def _run_eval(cmd, opts: RunOptions):
     return {"result": str(ctx.mul_all(*factors))}
 
 
-def _run_closure(cmd, opts: RunOptions):
-    fam = close(cmd.sets, cap=opts.max_family)
+def _run_closure(opts: RunOptions, sets):
+    fam = close(sets, cap=opts.max_family)
     return {"result": {
         "members": [str(f) for f in fam.members],
         "size": len(fam),
@@ -93,47 +92,44 @@ def _run_closure(cmd, opts: RunOptions):
     }}
 
 
-def _run_classify(cmd, opts: RunOptions):
+def _run_classify(opts: RunOptions, kind, sets):
     from .classify import classify
 
-    if cmd.kind == "closure":
-        fam = close(cmd.sets, cap=opts.max_family)
+    if kind == "closure":
+        fam = close(sets, cap=opts.max_family)
     else:
-        fam = Family(cmd.sets)  # raises NotOmegaClosed with a witness
+        fam = Family(sets)  # raises NotOmegaClosed with a witness
     report = classify(SemigroupCtx(fam))
     return {"result": report.as_dict()}
 
 
-def _run_green(cmd, opts: RunOptions):
-    related = green(cmd.a, cmd.b, cmd.rel)
+def _run_green(opts: RunOptions, a, b, rel):
+    related = green(a, b, rel)
     out = {"result": related}
-    if related and cmd.rel in ("R", "L", "D"):
-        x, y = green_witness(cmd.a, cmd.b, cmd.rel)
+    if related and rel in ("R", "L", "D"):
+        x, y = green_witness(a, b, rel)
         out["witness"] = [str(x), str(y)]
     return out
 
 
-def _run_order(cmd, opts: RunOptions):
-    return {"result": _natural_leq(cmd.a, cmd.b)}
+def _run_order(opts: RunOptions, a, b):
+    return {"result": _natural_leq(a, b)}
 
 
-def _run_map(cmd, opts: RunOptions):
+def _run_map(opts: RunOptions, name, args, a):
     from .morphisms import (progression_reindex, sigma_hom, to_brandt,
                             to_ext_bicyclic, to_matrix_units)
 
-    a = cmd.element
-    if cmd.name == "brandt":
+    if name == "brandt":
         # the ambient family is the symbolic singleton one; nothing to close
         return {"result": str(to_brandt(a))}
-    if cmd.name == "reindex":
-        old_start, new_start, step = cmd.args
-        return {"result": str(progression_reindex(a, old_start, new_start,
-                                                  step))}
+    if name == "reindex":
+        return {"result": str(progression_reindex(a, *args))}
     ctx = SemigroupCtx(close([EMPTY if a.is_zero else a.fset],
                              cap=opts.max_family))
-    if cmd.name == "sigma":
+    if name == "sigma":
         return {"result": sigma_hom(a, ctx)}
-    if cmd.name == "ext-bicyclic":
+    if name == "ext-bicyclic":
         return {"result": str(to_ext_bicyclic(ctx, a))}
     return {"result": str(to_matrix_units(ctx, a))}
 
@@ -143,31 +139,33 @@ def _suite_payload(results):
             "suites": [r.as_dict() for r in results]}
 
 
-def _run_check_hom(cmd, opts: RunOptions):
+def _run_check_hom(opts: RunOptions, name):
     from .selftest import run_check_hom
 
-    res = run_check_hom(cmd.name, _suite_options(opts))
+    res = run_check_hom(name, _suite_options(opts))
     return {"result": _suite_payload([res])}
 
 
-def _run_selftest(cmd, opts: RunOptions):
+def _run_selftest(opts: RunOptions, suite):
     from .selftest import SUITES, run_suite
 
     sopts = _suite_options(opts)
-    names = SUITES if cmd.suite is None else [cmd.suite]
+    names = SUITES if suite is None else [suite]
     results = [run_suite(name, sopts) for name in names]
     return {"result": _suite_payload(results)}
 
 
+# each runner takes the options and the arguments that
+# grammar.parse_command returns after the keyword
 _RUNNERS = {
-    grammar.EvalCmd: _run_eval,
-    grammar.ClosureCmd: _run_closure,
-    grammar.ClassifyCmd: _run_classify,
-    grammar.GreenCmd: _run_green,
-    grammar.OrderCmd: _run_order,
-    grammar.MapCmd: _run_map,
-    grammar.CheckHomCmd: _run_check_hom,
-    grammar.SelfTestCmd: _run_selftest,
+    "eval": _run_eval,
+    "closure": _run_closure,
+    "classify": _run_classify,
+    "green": _run_green,
+    "order": _run_order,
+    "map": _run_map,
+    "check-hom": _run_check_hom,
+    "selftest": _run_selftest,
 }
 
 
@@ -183,20 +181,18 @@ def _check_options(opts: RunOptions):
         raise ValueError(f"--samples must be at least 0, got {opts.samples}")
 
 
-def run_with_code(cmd, opts: RunOptions = None):
-    """The JSON and exit code of running ``cmd``, a parsed command or the
-    command's text.
+def run_with_code(text: str, opts: RunOptions = None):
+    """The JSON and exit code of running the command ``text``.
 
-    Text is parsed inside the same handler, so an error while parsing gets
-    the same answer as one while running: memory exhausted while the
+    The text is parsed inside the same handler, so an error while parsing
+    gets the same answer as one while running: memory exhausted while the
     grammar builds a set is ``resource_limit``, as it is in ``close()``.
     """
     opts = opts or RunOptions()
     try:
-        if isinstance(cmd, str):
-            cmd = grammar.parse_command(cmd)
+        keyword, *args = grammar.parse_command(text)
         _check_options(opts)
-        payload = _RUNNERS[type(cmd)](cmd, opts)
+        payload = _RUNNERS[keyword](opts, *args)
         code = EXIT_OK
         if "result" in payload and isinstance(payload["result"], dict) \
                 and payload["result"].get("passed") is False:

@@ -186,16 +186,6 @@ class _Parser:
 
 # -- commands -----------------------------------------------------------------
 
-EvalCmd = namedtuple("EvalCmd", "factors")
-ClosureCmd = namedtuple("ClosureCmd", "sets")
-ClassifyCmd = namedtuple("ClassifyCmd", "kind sets")  # kind: family|closure
-GreenCmd = namedtuple("GreenCmd", "a b rel")
-OrderCmd = namedtuple("OrderCmd", "a b")
-MapCmd = namedtuple("MapCmd", "name args element")
-CheckHomCmd = namedtuple("CheckHomCmd", "name")
-SelfTestCmd = namedtuple("SelfTestCmd", "suite")  # suite: a name or None
-
-
 MAP_NAMES = ("sigma", "ext-bicyclic", "matrix-units", "brandt", "reindex")
 HOM_NAMES = (*MAP_NAMES, "shift-iso")
 
@@ -204,17 +194,17 @@ def _command(p: _Parser):
     head = p.expect_name("eval", "closure", "classify", "green", "order",
                          "map", "check-hom", "oracle-check", "selftest").text
     if head == "eval":
-        return EvalCmd(p.product())
+        return head, p.product()
     if head == "closure":
         p.pos -= 1  # the keyword doubles as the family literal opener
-        return ClosureCmd(p.family_literal()[1])
+        return head, p.family_literal()[1]
     if head == "classify":
-        return ClassifyCmd(*p.family_literal())
+        return (head, *p.family_literal())
     if head == "green":
-        return GreenCmd(p.element(), p.element(),
-                        p.expect_name("R", "L", "H", "D", "J").text)
+        return (head, p.element(), p.element(),
+                p.expect_name("R", "L", "H", "D", "J").text)
     if head == "order":
-        return OrderCmd(p.element(), p.element())
+        return head, p.element(), p.element()
     if head == "map":
         name = p.expect_name(*MAP_NAMES).text
         args: Tuple[int, ...] = ()
@@ -227,12 +217,12 @@ def _command(p: _Parser):
             step = p.natural("a positive progression step", least=1)
             p.expect(")", "')'")
             args = (a1, a2, step)
-        return MapCmd(name, args, p.element())
+        return head, name, args, p.element()
     if head == "check-hom":
-        return CheckHomCmd(p.expect_name(*HOM_NAMES).text)
+        return head, p.expect_name(*HOM_NAMES).text
     if head == "oracle-check":
-        return SelfTestCmd("oracle")
-    return SelfTestCmd(p.advance().text if p.peek().kind == "NAME" else None)
+        return "selftest", "oracle"
+    return head, p.advance().text if p.peek().kind == "NAME" else None
 
 
 # -- entry points -------------------------------------------------------------
@@ -246,7 +236,10 @@ def _parse_all(text: str, rule):
 
 
 def parse_command(text: str):
-    """Parse one CLI command; raises :class:`ParseError` with position info."""
+    """Parse one CLI command into ``(keyword, *args)``, the arguments of
+    the keyword's runner in :mod:`epshift.cli` (``oracle-check`` is
+    ``("selftest", "oracle")``); raises :class:`ParseError` with position
+    info."""
     return _parse_all(text, _command)
 
 

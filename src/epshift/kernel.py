@@ -119,11 +119,13 @@ def subset(h1, t1, p1, r1, h2, t2, p2, r2) -> bool:
 
 
 def exists_shift_subset(h1, t1, p1, r1, h2, t2, p2, r2):
-    """Least ``k >= 0`` with ``(k + F1) properly inside F2``, else ``None``.
+    """Least ``k >= 0`` with ``(k + F1) inside F2``, else ``None``.
 
     For ``k >= t2`` every membership query lands in the tail of the second
     set, so the predicate in ``k`` repeats with period ``p2``; scanning
     ``k < t2 + p2`` therefore decides existence over all of the naturals.
+    Only a ``k`` that puts ``min(F1)`` in ``F2`` can work, so the scan walks
+    the set bits of F2's window shifted down by ``min(F1)``, lowest first.
     Each such ``k + F1`` is ``lcm(p1, p2)``-periodic, alongside ``F2``, from
     below ``t1 + t2 + p2``, so one window of both sets decides every ``k``.
     """
@@ -133,8 +135,13 @@ def exists_shift_subset(h1, t1, p1, r1, h2, t2, p2, r2):
         return None
     width = t1 + t2 + p2 + lcm(p1, p2)
     w1 = window(h1, t1, p1, r1, width)
-    outside = ~window(h2, t2, p2, r2, width) & ((1 << width) - 1)
-    for k in range(t2 + p2):
+    w2 = window(h2, t2, p2, r2, width)
+    outside = ~w2 & ((1 << width) - 1)
+    candidates = w2 >> ((w1 & -w1).bit_length() - 1) & ((1 << (t2 + p2)) - 1)
+    while candidates:
+        low = candidates & -candidates
+        k = low.bit_length() - 1
         if not (w1 << k) & outside:
             return k
+        candidates ^= low
     return None

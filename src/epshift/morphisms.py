@@ -128,9 +128,13 @@ def _classify(ctx: SemigroupCtx):
 
     Only :func:`to_ext_bicyclic` and :func:`to_matrix_units` read a report,
     so the other maps never load ``classify``.  It loads once, and a call
-    runs no ``import`` statement.  The function is read off the module on
-    every call, so a rebinding of it there (``perfbench/tracing.py`` makes
-    one and undoes it) is seen here too.
+    runs no ``import`` statement: a function-local ``from .classify import
+    classify`` took :func:`to_ext_bicyclic` from about 0.56 to 1.8 us per
+    call and :func:`to_matrix_units` from about 0.64 to 1.9 us (CPython
+    3.11, best of three 10^5-call runs), and the morphisms suite makes
+    10000 such calls per pass at 1000 samples.  The function is read off
+    the module on every call, so a rebinding of it there
+    (``perfbench/tracing.py`` makes one and undoes it) is seen here too.
     """
     global _classify_module
     if _classify_module is None:

@@ -38,15 +38,13 @@ def test_eval_golden(capsys):
 
 
 def test_parse_run_library_surface():
-    cmd = grammar.parse_command("eval (0,0;[0)) * (1,1;[0))")
-    assert cli.run_with_code(cmd) == ('{"result":"(1,1;[0))"}', cli.EXIT_OK)
-    # the command's text is parsed inside the same handler as running it
     assert cli.run_with_code("eval (0,0;[0)) * (1,1;[0))") \
-        == cli.run_with_code(cmd)
+        == ('{"result":"(1,1;[0))"}', cli.EXIT_OK)
+    # the command's text is parsed inside the same handler as running it
     out, code = cli.run_with_code("eval (0,0;[0)) *")
     assert code == cli.EXIT_SYNTAX
     assert json.loads(out)["error"]["code"] == "syntax_error"
-    out, _ = cli.run_with_code(grammar.parse_command("classify closure{ {3} }"))
+    out, _ = cli.run_with_code("classify closure{ {3} }")
     assert json.loads(out)["result"]["iso_type"] == "MatrixUnitsOmega"
 
 
@@ -435,6 +433,11 @@ HOSTILE = [
         2, 0, '{"result":true,"witness":["(0,0;{0,2,4,'),
     row("green-shift-window", "green '(0,0;{0,2}|[50000))' "
         "'(0,0;{1}|[50001))' J", 2, 0, {"result": True}),
+    # exists_shift_subset tries only the shifts that put min(F1) in F2
+    row("green-shift-scan", "green '(-7,-5;44+4*w|{})' "
+        "'(-8,7;[567694)|{238,118})' J", 1, 0, {"result": False}),
+    row("green-shift-ray", "green '(0,0;44+4*w)' '(0,0;[200000))' J", 1, 0,
+        {"result": False}),
     # validation cuts each member with p down-shifts of a p-bit window
     row("validate-period", "classify 'family{ {}; 0+20011*w }'", 2, 0,
         {"result": {"iso_type": "ZeroBisimpleProgression", "i0": 0,
@@ -459,9 +462,6 @@ HOSTILE = [
         {"result": "(7,5;{703601})"}, TOO_SLOW),
     row("close-ray", "'closure{ [563444) }'", 1, 0, {"result": {
         "has_empty": False, "members": ["[563444)"], "size": 1}}, TOO_SLOW),
-    # exists_shift_subset tests each k < t2 + p2 on a t2-wide window
-    row("green-shift-scan", "green '(-7,-5;44+4*w|{})' "
-        "'(-8,7;[567694)|{238,118})' J", 1, 0, {"result": False}, TOO_SLOW),
     # validation: 500001 cuts of 500001 bits
     row("validate-ray", "classify 'family{ [500000) }'", 1, 0, {"result": {
         "iso_type": "ExtendedBicyclic", "simple": True, "bisimple": True}},
@@ -501,10 +501,10 @@ def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
 
 
 def test_an_internal_error_is_json_with_exit_4(capsys, monkeypatch):
-    def broken(cmd, opts):
+    def broken(opts, *args):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setitem(cli._RUNNERS, cli.grammar.OrderCmd, broken)
+    monkeypatch.setitem(cli._RUNNERS, "order", broken)
     argv = ["order", "(1,1;[0))", "(0,0;[0))"]
     # in-process callers still see the exception
     with pytest.raises(TypeError):

@@ -35,7 +35,7 @@ def test_element_validation():
     with pytest.raises(TypeError):
         Element(0, 0, "not a set")
     assert ZERO.is_zero
-    assert str(ZERO) == "0"
+    assert str(ZERO) == "0" and repr(ZERO) == "ZERO"
     assert str(Element(1, -2, RAY)) == "(1,-2;[0))"
 
 

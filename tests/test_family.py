@@ -69,6 +69,8 @@ def test_closure_checks_require_members():
     with pytest.raises(ValueError):
         is_omega_closed([])
     with pytest.raises(ValueError):
+        Family([])
+    with pytest.raises(ValueError):
         omega_closure_witness([])
 
 
@@ -332,8 +334,20 @@ def test_closure_with_a_large_threshold_matches_the_pairwise_fixpoint():
         close(gens, cap=len(want) - 1)
 
 
+def test_family_parses_prints_and_compares_by_members():
+    fam = Family.parse("family{ 2+3*w; {} }")
+    assert list(fam) == [EMPTY, EpSet.progression(2, 3)]
+    assert repr(fam) == "Family.parse('family{ {}; 2+3*w }')"
+    same = Family([EpSet.progression(2, 3), EMPTY])
+    assert fam == same and hash(fam) == hash(same)
+    assert fam != Family([EMPTY])
+    assert fam != str(fam)
+    assert Family.parse("closure{ {0,1} }") == close([EpSet.of(0, 1)])
+
+
 def test_singleton_family_membership():
     fam = SingletonFamily()
+    assert str(fam) == repr(fam) == "family{ all singletons; {} }"
     assert fam.has_empty
     assert EMPTY in fam
     assert EpSet.of(7) in fam

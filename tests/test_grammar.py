@@ -50,27 +50,27 @@ def test_parse_family_literals():
 
 
 def test_parse_command_shapes():
-    cmd = grammar.parse_command("eval (0,0;[0)) * (1,1;[0))")
-    assert isinstance(cmd, grammar.EvalCmd) and len(cmd.factors) == 2
-    cmd = grammar.parse_command("classify closure{ {0,1} }")
-    assert isinstance(cmd, grammar.ClassifyCmd) and cmd.kind == "closure"
-    cmd = grammar.parse_command("green (0,3;{2}) (0,7;{2}) R")
-    assert isinstance(cmd, grammar.GreenCmd) and cmd.rel == "R"
-    cmd = grammar.parse_command("order (1,1;[0)) (0,0;[0))")
-    assert isinstance(cmd, grammar.OrderCmd)
-    cmd = grammar.parse_command("map sigma (2,5;[0))")
-    assert isinstance(cmd, grammar.MapCmd) and cmd.name == "sigma"
-    cmd = grammar.parse_command("map reindex(2,0,3) (0,1;2+3*w)")
-    assert cmd.args == (2, 0, 3)
-    cmd = grammar.parse_command("closure{ {3} }")
-    assert isinstance(cmd, grammar.ClosureCmd)
-    cmd = grammar.parse_command("check-hom brandt")
-    assert isinstance(cmd, grammar.CheckHomCmd) and cmd.name == "brandt"
-    cmd = grammar.parse_command("oracle-check")
-    assert isinstance(cmd, grammar.SelfTestCmd) and cmd.suite == "oracle"
-    cmd = grammar.parse_command("selftest green")
-    assert isinstance(cmd, grammar.SelfTestCmd) and cmd.suite == "green"
-    assert grammar.parse_command("selftest").suite is None
+    e = grammar.parse_element
+    one, a, b = e("(0,0;[0))"), e("(0,3;{2})"), e("(0,7;{2})")
+    assert grammar.parse_command("eval (0,0;[0)) * (1,1;[0))") \
+        == ("eval", (one, e("(1,1;[0))")))
+    assert grammar.parse_command("closure{ {3} }") \
+        == ("closure", (EpSet.of(3),))
+    assert grammar.parse_command("classify closure{ {0,1}; {} }") \
+        == ("classify", "closure", (EpSet.of(0, 1), EMPTY))
+    assert grammar.parse_command("classify family{ {} }") \
+        == ("classify", "family", (EMPTY,))
+    assert grammar.parse_command("green (0,3;{2}) (0,7;{2}) R") \
+        == ("green", a, b, "R")
+    assert grammar.parse_command("order (0,3;{2}) 0") == ("order", a, ZERO)
+    assert grammar.parse_command("map sigma (2,5;[0))") \
+        == ("map", "sigma", (), e("(2,5;[0))"))
+    assert grammar.parse_command("map reindex(2,0,3) (0,1;2+3*w)") \
+        == ("map", "reindex", (2, 0, 3), e("(0,1;2+3*w)"))
+    assert grammar.parse_command("check-hom brandt") == ("check-hom", "brandt")
+    assert grammar.parse_command("oracle-check") == ("selftest", "oracle")
+    assert grammar.parse_command("selftest green") == ("selftest", "green")
+    assert grammar.parse_command("selftest") == ("selftest", None)
 
 
 def test_syntax_errors_carry_positions():

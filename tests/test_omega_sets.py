@@ -64,6 +64,14 @@ def test_constructor_validates():
         EpSet(threshold=2, period=2, residues=[2])
     with pytest.raises(ValueError):
         EpSet.from_members([-1])
+    with pytest.raises(ValueError):
+        EpSet(threshold=-1)
+    with pytest.raises(ValueError):
+        EpSet.ray(-1)
+    with pytest.raises(ValueError):
+        EpSet.progression(-1, 2)
+    with pytest.raises(ValueError):
+        EpSet.progression(0, 0)
 
 
 def test_membership_of_negatives_is_false():
@@ -360,6 +368,17 @@ def test_progression_detection_is_exact(f):
 
 
 # -- misc accessors -------------------------------------------------------------
+
+def test_members_at_or_below_the_threshold(rng):
+    # kernel.window answers from the head alone, or with nothing, when the
+    # width does not pass the threshold
+    for _ in range(200):
+        f = random_epset(rng, max_threshold=90, max_period=7)
+        h, t, p, r = f.raw
+        for below in (-1, 0, t // 2, t, t + 1):
+            assert f.members(below) == tuple(
+                sorted(naive_members(h, t, p, r, below)))
+
 
 def test_enumeration_matches_naive_members_on_wide_sets(rng):
     for i in range(100):
