@@ -2,9 +2,12 @@
 
 A family ``M`` is *omega-closed* when ``F1 & shift(F2, -n)`` stays inside
 ``M`` for all members ``F1, F2`` and every natural ``n``.  The quantifier
-over ``n`` is finite in disguise: once ``n`` passes the threshold of
-``F2``, the down-shift only depends on ``n`` modulo the period of ``F2``,
-so ``n < threshold + period`` already produces every possible value.
+over ``n`` is finite in disguise: once ``n >= threshold(F2) - min(F1)``,
+every member of ``F1`` meets only the periodic tail of ``F2``, so the cut
+only depends on ``n`` modulo the period of ``F2``, and
+``n < max(0, threshold(F2) - min(F1)) + period(F2)`` already produces every
+possible value.  Each cut of the empty set is itself.  :func:`close` and
+validation both walk these ``n`` through :func:`_down_shifts`.
 
 :func:`close` runs on one common window.  Let ``T`` be the generators'
 largest threshold and ``L`` the lcm of their periods.  A down-shift keeps
@@ -15,24 +18,27 @@ period dividing ``L``, and it is fixed by its members below ``W = T + L``:
 the head lies below ``T``, and ``[T, T + L)`` holds each residue mod ``L``
 once.  A member is carried as that ``W``-bit window, an int.  The window of
 ``shift(g, -n)`` is bits ``n`` to ``n + W`` of ``g``'s window, so with
-``gw`` the window of ``g`` over ``2W`` bits (``n < t + p <= W``) it is
-``gw >> n``, and an intersection is a bitwise and: a cut is one shift and
-one ``&``.  Only the members returned are canonicalized.
+``gw`` the window of ``g`` over ``2W`` bits (every ``n`` walked is below
+``t + p <= W``) it is ``gw >> n``, and an intersection is a bitwise and: a
+cut is one shift and one ``&``.  Only the members returned are
+canonicalized.  :func:`_window_state` builds these windows, for
+:func:`close`, for validation and for cuts alike.
 
 The closure is one fold over the generator down-shifts: each ``gw >> n`` is
 built once, cuts every member found so far, and is dropped.  By induction
 on the down-shifts folded, the members are then every meet of a generator
 with some of them, which is the closure (see :func:`close`).
 
-A :class:`Family` reuses that window for products: :meth:`Family.cut`
-answers ``F1 & shift(F2, -n)`` with a lookup from the cut's window to the
-member it denotes, so products over a family are its own member objects.
+A :class:`Family` keeps its members' windows, built once, for validation
+and for products: :meth:`Family.cut` answers ``F1 & shift(F2, -n)`` with a
+lookup from the cut's window to the member it denotes, so products over a
+family are its own member objects.
 
-:func:`omega_closure_witness` validates on the window of the candidate
-members.  A cut of two of them also has threshold at most ``T`` and a
-period dividing ``L``, so it is a member iff its window is a member's.  The
-cuts ``w1 & (w2 >> n)`` are taken in scan order, and the first one outside
-the members' windows is the witness.
+:func:`omega_closure_witness` validates on the family's windows.  A cut of
+two members also has threshold at most ``T`` and a period dividing ``L``,
+so it is a member iff its window is a member's.  The cuts
+``w1 & (w2 >> n)`` are taken in scan order, and the first one outside the
+members' windows is the witness.
 """
 
 from __future__ import annotations
@@ -56,32 +62,32 @@ DEFAULT_SAMPLES = 10_000
 Witness = Tuple[EpSet, EpSet, int]
 
 
-def _common_window(quads):
-    """``(T, L)`` of a list of raw quadruples: the largest threshold and the
-    lcm of the periods.  Every cut of them has a window of ``T + L`` bits.
+def _window_state(members):
+    """The tables of a cut on the common window of ``members``: each
+    member's window over ``2W`` bits, the member of each ``W``-bit window,
+    the ``W``-bit mask, ``T`` and ``L``.
 
-    Raises :class:`ResourceLimit` if ``T + L`` exceeds
+    Raises :class:`ResourceLimit` if ``W = T + L`` exceeds
     :data:`MAX_WINDOW_BITS`, before any window is built."""
-    t, p = max(q[1] for q in quads), lcm(*(q[2] for q in quads))
+    t, p = max(f.threshold for f in members), lcm(*(f.period for f in members))
     width = t + p
     if width > MAX_WINDOW_BITS:
         raise ResourceLimit(
             f"closure window of {width} bits exceeds the limit of "
             f"{MAX_WINDOW_BITS} bits", quantity="window_bits", value=width,
             limit=MAX_WINDOW_BITS)
-    return t, p
-
-
-def _window_state(members):
-    """The tables of a cut on the common window of ``members``: each
-    member's window over ``2W`` bits, the member of each ``W``-bit window,
-    the ``W``-bit mask, ``T`` and ``L``."""
-    t, p = _common_window([f.raw for f in members])
-    width = t + p
     full = (1 << width) - 1
     windows = {f: kernel.window(*f.raw, 2 * width) for f in members}
     by_window = {w & full: f for f, w in windows.items()}
     return windows, by_window, full, t, p
+
+
+def _down_shifts(t, p, lo):
+    """The ``n`` of the down-shifts ``shift(F2, -n)`` that a cut of a set
+    with no member below ``lo`` needs, for ``F2`` with threshold ``t`` and
+    period ``p``: from ``n = t - lo`` on, the cut repeats in ``n`` with
+    period ``p``."""
+    return range(max(0, t - lo) + p)
 
 
 class Family:
@@ -95,14 +101,14 @@ class Family:
 
     def __init__(self, members: Iterable[EpSet], *, check: bool = True):
         self._members = frozenset(members)
-        self._windows = None  # built by the first cut()
+        self._windows = None  # built by _table()
         if not self._members:
             raise ValueError("a family needs at least one member")
         self._sorted = tuple(sorted(self._members, key=sort_key))
         self._nonempty = tuple(f for f in self._sorted if not f.is_empty)
         self.has_empty = EMPTY in self._members
         if check:
-            witness = omega_closure_witness(self._members)
+            witness = omega_closure_witness(self)
             if witness is not None:
                 f1, f2, n = witness
                 raise NotOmegaClosed(
@@ -114,6 +120,12 @@ class Family:
     def members(self) -> Tuple[EpSet, ...]:
         return self._sorted
 
+    def _table(self):
+        """The members' :func:`_window_state`, built on first use."""
+        if self._windows is None:
+            self._windows = _window_state(self._sorted)
+        return self._windows
+
     def cut(self, f1: EpSet, f2: EpSet, n: int) -> EpSet:
         """``f1 & shift(f2, -n)`` for a natural ``n``: the set of a product.
 
@@ -123,13 +135,10 @@ class Family:
         A cut that is no member (the family was built with ``check=False``)
         is canonicalized from its window.  A factor that is not a member
         takes the kernel's ``intersect(f1, shift(f2, -n))`` instead.  The
-        first cut raises :class:`ResourceLimit` if ``W`` exceeds
-        :data:`MAX_WINDOW_BITS`.
+        first cut of a family built with ``check=False`` raises
+        :class:`ResourceLimit` if ``W`` exceeds :data:`MAX_WINDOW_BITS`.
         """
-        state = self._windows
-        if state is None:
-            state = self._windows = _window_state(self._sorted)
-        windows, by_window, full, t, p = state
+        windows, by_window, full, t, p = self._table()
         w1 = windows.get(f1)
         w2 = windows.get(f2)
         if w1 is None or w2 is None:
@@ -199,24 +208,29 @@ class SingletonFamily:
 def omega_closure_witness(members: Iterable[EpSet]) -> Optional[Witness]:
     """First ``(F1, F2, n)`` violating closure, or ``None`` if closed.
 
+    ``members`` is a :class:`Family`, whose windows are then kept for its
+    cuts, or the members of one, taken as ``Family(members, check=False)``.
     "First" is in the order ``F1``, then ``F2`` (both by :func:`sort_key`),
-    then ``n`` below ``F2``'s threshold plus period.  Each cut is taken on
+    then ``n`` below ``max(0, threshold(F2) - min(F1)) + period(F2)``: a
+    violation at a larger ``n`` is one at ``n - period(F2)`` too.  An empty
+    ``F1`` is skipped, as each of its cuts is itself.  Each cut is taken on
     the common window of the module docstring, as in :meth:`Family.cut`,
     and is outside the family iff its window is no member's.
 
     Raises :class:`ResourceLimit` if ``W`` exceeds :data:`MAX_WINDOW_BITS`,
     before any window is built.
     """
-    ordered = sorted(frozenset(members), key=sort_key)
-    if not ordered:
-        raise ValueError("a closure check needs at least one member")
-    windows, pool, full, _, _ = _window_state(ordered)
-    for f1 in ordered:
-        w1 = windows[f1] & full
-        for f2 in ordered:
-            w2 = windows[f2]
-            _, t2, p2, _ = f2.raw
-            for n in range(t2 + p2):
+    fam = members
+    if not isinstance(fam, Family):
+        fam = Family(members, check=False)
+    windows, pool, full, _, _ = fam._table()
+    # looked up once per member rather than once per pair: with small
+    # families the lookups, not the cuts, cost most
+    cutters = [(f2, windows[f2], f2.threshold, f2.period) for f2 in fam]
+    for f1 in fam.nonempty_members:
+        w1, lo = windows[f1] & full, f1.min()
+        for f2, w2, t2, p2 in cutters:
+            for n in _down_shifts(t2, p2, lo):
                 if w1 & (w2 >> n) not in pool:
                     return (f1, f2, n)
     return None
@@ -249,24 +263,30 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
     module docstring, cuts every member's ``W``-bit window and is dropped,
     so memory stays at the members' ``W`` bits each.
 
+    Every member lies inside the union of the generators, so with ``lo`` its
+    least member, ``m & shift(g, -n)`` repeats in ``n`` with period
+    ``period(g)`` from ``n = threshold(g) - lo`` on.  The fold takes only
+    ``n < max(0, threshold(g) - lo) + period(g)``: each later down-shift
+    adds what an earlier one of ``g`` already added.
+
     Raises :class:`ResourceLimit` if ``W`` exceeds :data:`MAX_WINDOW_BITS`,
     before any window is built, and :class:`ClosureDiverged` iff the
     closure has more than ``cap`` members, rather than truncating silently.
     """
-    gens = {g.raw for g in generators}
+    gens = frozenset(generators)
     if not gens:
         raise ValueError("close() needs at least one generator")
-    t, p = _common_window(gens)
-    width = t + p
-    full = (1 << width) - 1
-    # each generator's window over [0, 2W) and its number of down-shifts
-    cutters = [(kernel.window(*g, 2 * width), g[1] + g[2]) for g in gens]
-    members = {gw & full for gw, _ in cutters}
-    for d in (gw >> n for gw, k in cutters for n in range(k)):
-        if len(members) > cap:
-            break
-        members |= {m & d for m in members}
-    if len(members) > cap:
-        raise ClosureDiverged(f"closure exceeded {cap} members", cap=cap)
+    windows, by_window, _, t, p = _window_state(gens)
+    members = set(by_window)
+    lo = min((g.min() for g in gens if not g.is_empty), default=0)
+    for g, gw in windows.items():
+        # every generator has a down-shift, so the generators alone are
+        # checked against the cap too
+        for n in _down_shifts(g.threshold, g.period, lo):
+            d = gw >> n
+            members |= {m & d for m in members}
+            if len(members) > cap:
+                raise ClosureDiverged(f"closure exceeded {cap} members",
+                                      cap=cap)
     return Family([EpSet._from_canon(*kernel.from_window(m, t, p))
                    for m in members], check=False)

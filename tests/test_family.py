@@ -334,6 +334,77 @@ def test_closure_with_a_large_threshold_matches_the_pairwise_fixpoint():
         close(gens, cap=len(want) - 1)
 
 
+def dense_close(gens, cap):
+    """The closure fold over every down-shift ``n < threshold + period`` of
+    each generator, with no bound from the generators' least member: the
+    referee of the bounded fold in :func:`close`."""
+    t = max(g.threshold for g in gens)
+    p = lcm(*(g.period for g in gens))
+    width = t + p
+    if width > MAX_WINDOW_BITS:
+        raise ResourceLimit("too wide", quantity="window_bits", value=width,
+                            limit=MAX_WINDOW_BITS)
+    full = (1 << width) - 1
+    cutters = [(kernel.window(*g.raw, 2 * width), g.threshold + g.period)
+               for g in set(gens)]
+    members = {gw & full for gw, _ in cutters}
+    for gw, k in cutters:
+        for n in range(k):
+            members |= {m & (gw >> n) for m in members}
+            if len(members) > cap:
+                raise ClosureDiverged("diverged", cap=cap)
+    return Family([EpSet._from_canon(*kernel.from_window(m, t, p))
+                   for m in members], check=False)
+
+
+def closure_outcome(build, gens, cap):
+    """The family ``build`` returns, or the kind and details of its error."""
+    try:
+        return build(gens, cap=cap)
+    except (ClosureDiverged, ResourceLimit) as exc:
+        return type(exc), exc.details
+
+
+def test_bounded_closure_and_witness_match_the_dense_referees():
+    # wide, sparse generators whose least member sits above 0, so that the
+    # bound on the down-shifts walked is often below threshold + period;
+    # every 25th case has periods whose lcm exceeds the window bound
+    rng = random.Random(0xB0D)
+    seen = {"closed": 0, "diverged": 0, "too_wide": 0, "short": 0,
+            "witnessed": 0, "unwitnessed": 0}
+    for case in range(1000):
+        if case % 25 == 0:
+            gens = [EpSet.progression(rng.randint(0, 90), q)
+                    for q in rng.sample((16, 17, 19, 23, 25, 29, 31), 5)]
+        else:
+            gens = [sparse_epset(rng, rng.randint(1, 31), max_threshold=90)
+                    for _ in range(rng.randint(1, 3))]
+        cap = rng.choice((1, 2, 4, 8, 16, 64, 512))
+        want = closure_outcome(dense_close, gens, cap)
+        assert closure_outcome(close, gens, cap) == want, (gens, cap)
+        if not isinstance(want, Family):
+            seen["diverged" if want[0] is ClosureDiverged else "too_wide"] += 1
+            continue
+        seen["closed"] += 1
+        lo = min((g.min() for g in gens if not g.is_empty), default=0)
+        # some generator walks fewer than threshold + period down-shifts
+        seen["short"] += lo > 0 and any(g.threshold for g in gens)
+        if len(want) > 8:
+            continue
+        # a closure with a member dropped or one added, in a shuffled order
+        members = list(want.members)
+        dropped = rng.sample(members, len(members) - 1)
+        added = members + [sparse_epset(rng, rng.randint(1, 31),
+                                        max_threshold=90)]
+        rng.shuffle(added)
+        for candidate in (dropped, added):
+            if candidate:
+                got = omega_closure_witness(candidate)
+                assert got == pairwise_witness(candidate), candidate
+                seen["unwitnessed" if got is None else "witnessed"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def test_family_parses_prints_and_compares_by_members():
     fam = Family.parse("family{ 2+3*w; {} }")
     assert list(fam) == [EMPTY, EpSet.progression(2, 3)]
@@ -400,6 +471,28 @@ def test_cut_equals_the_kernel_expression(rng):
                         seen["outside"] += 1
                     seen["empty"] += want.is_empty
     assert min(seen.values()) >= 20, seen
+
+
+def test_a_validated_family_builds_one_window_per_member(monkeypatch):
+    # validation and cuts share the family's one table of windows
+    families = [[EMPTY, EpSet.of(3)],
+                list(close([EpSet.of(0, 2), EpSet.progression(1, 3)]).members)]
+    windows = []
+    real_window = kernel.window
+
+    def counting_window(*args):
+        windows.append(args)
+        return real_window(*args)
+
+    monkeypatch.setattr(kernel, "window", counting_window)
+    for members in families:
+        windows.clear()
+        fam = Family(members)
+        for f1 in members:
+            for f2 in members:
+                for n in range(5):
+                    assert fam.cut(f1, f2, n) in fam
+        assert len(windows) == len(members)
 
 
 def test_cut_of_a_non_member_takes_the_kernel_and_a_wide_window_is_refused(monkeypatch):
