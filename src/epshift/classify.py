@@ -2,10 +2,11 @@
 
 Everything is decided on the family alone: the zero exists iff the empty
 set is a member, D-classes of nonzero elements correspond to nonempty
-members, the semigroup is simple iff it has no zero, and 0-simplicity
-reduces to mutual shift-containment between members.  The isomorphism type
-is resolved in a fixed priority order, with witnesses recorded for every
-negative verdict.
+members, the semigroup is simple iff it has no zero or is the one-element
+semigroup ``{0}``, and 0-simplicity reduces to mutual shift-containment
+between members.  The isomorphism type is
+:func:`~epshift.core.iso_type_of`, the paper's criteria on the family.
+Every negative verdict records a witness.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
+# the type names are re-exported: they are the values of ``iso_type``
 from .core import (ISO_EXTENDED_BICYCLIC, ISO_GENERAL, ISO_MATRIX_UNITS,
-                   ISO_PROGRESSION, ISO_TRIVIAL, Element, SemigroupCtx, ZERO)
-from .omega_sets import (as_arith_progression, as_singleton, exists_shift_subset,
-                         is_inductive)
+                   ISO_PROGRESSION, ISO_TRIVIAL, Element, SemigroupCtx, ZERO,
+                   iso_type_of, nonempty_members)
+from .omega_sets import exists_shift_subset, is_inductive
 from .values import Frozen
 
 
@@ -69,34 +71,23 @@ def d_class_count(ctx: SemigroupCtx) -> int:
     The zero, when present, forms its own extra class and is reported via
     ``has_zero``.
     """
-    return len(_finite_members(ctx)[1])
-
-
-def _finite_members(ctx: SemigroupCtx):
-    """The family's ``members`` and ``nonempty_members``, which only a
-    finite family offers."""
-    fam = ctx.family
-    try:
-        return fam.members, fam.nonempty_members
-    except AttributeError:
-        raise TypeError("classification needs a finite family") from None
+    return len(nonempty_members(ctx.family))
 
 
 def classify(ctx: SemigroupCtx) -> StructureReport:
-    """Full structural report; cached on the context."""
-    if ctx._report is not None:
-        return ctx._report
-
-    members, nonempty = _finite_members(ctx)
+    """Full structural report."""
+    nonempty = nonempty_members(ctx.family)
+    members = ctx.family.members
     has_zero = ctx.family.has_empty
     has_identity = has_zero and len(members) == 1
     witnesses: Dict[str, tuple] = {}
 
     # with no empty member, every member holds a ray and so shift-contains
-    # every other: only a zero keeps the semigroup from being simple
+    # every other: only a zero keeps the semigroup from being simple, and
+    # not when it is the only element
     mutual_fail = _mutual_witness(nonempty) if has_zero else None
-    simple = not has_zero
-    if has_zero:
+    simple = not has_zero or has_identity
+    if not simple:
         witnesses["simple"] = ("0",)
 
     zero_simple = has_zero and bool(nonempty) and mutual_fail is None
@@ -129,25 +120,9 @@ def classify(ctx: SemigroupCtx) -> StructureReport:
 
     contains_ext = any(is_inductive(f) for f in nonempty)
 
-    iso_type = ISO_GENERAL
-    iso_params: Tuple[int, ...] = ()
-    if has_identity:
-        iso_type = ISO_TRIVIAL
-    elif bisimple and is_inductive(members[0]):
-        iso_type = ISO_EXTENDED_BICYCLIC
-    elif zero_bisimple:
-        f = nonempty[0]
-        k = as_singleton(f)
-        if k is not None:
-            iso_type = ISO_MATRIX_UNITS
-            iso_params = (k,)
-        else:
-            prog = as_arith_progression(f)
-            if prog is not None:
-                iso_type = ISO_PROGRESSION
-                iso_params = prog
+    iso_type, iso_params = iso_type_of(ctx.family)
 
-    report = StructureReport(
+    return StructureReport(
         has_zero=has_zero,
         has_identity=has_identity,
         simple=simple,
@@ -161,5 +136,3 @@ def classify(ctx: SemigroupCtx) -> StructureReport:
         d_classes=len(nonempty),
         witnesses=witnesses,
     )
-    ctx._report = report
-    return report

@@ -14,20 +14,73 @@ the ambient family guarantees every product set stays inside it.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .errors import EmptyOutsideFamily, NotIdempotent, NotRelated, OutsideFamily
-from .omega_sets import EpSet, exists_shift_subset, intersect, is_subset, shift
+from .omega_sets import (EpSet, as_arith_progression, as_singleton,
+                         exists_shift_subset, intersect, is_inductive,
+                         is_subset, shift)
 
 GREEN_RELATIONS = ("R", "L", "H", "D", "J")
 
-# the isomorphism types that ``classify`` resolves; they live here so that
-# the maps can test a report's type without loading ``classify``
+# the isomorphism types of the paper's criteria, which :func:`iso_type_of`
+# reads off the family alone; ``classify`` reports them and the maps onto
+# the extended bicyclic semigroup and the matrix units test them
 ISO_TRIVIAL = "Trivial"
 ISO_EXTENDED_BICYCLIC = "ExtendedBicyclic"
 ISO_MATRIX_UNITS = "MatrixUnitsOmega"
 ISO_PROGRESSION = "ZeroBisimpleProgression"
 ISO_GENERAL = "General"
+
+
+def nonempty_members(family) -> Tuple[EpSet, ...]:
+    """The ``nonempty_members`` of a finite family, which
+    :class:`~epshift.family.SingletonFamily` does not offer."""
+    try:
+        return family.nonempty_members
+    except AttributeError:
+        raise TypeError("classification needs a finite family") from None
+
+
+def is_one_ray(family) -> bool:
+    """Whether the family is one nonempty inductive set ``[k)``: its
+    semigroup is then the extended bicyclic semigroup."""
+    nonempty = nonempty_members(family)
+    return (len(nonempty) == 1 and not family.has_empty
+            and is_inductive(nonempty[0]))
+
+
+def matrix_units_k(family) -> Optional[int]:
+    """The ``k`` of the family ``{∅, {k}}``, else ``None``: its semigroup
+    is then the matrix units over the integers."""
+    nonempty = nonempty_members(family)
+    if len(nonempty) == 1 and family.has_empty:
+        return as_singleton(nonempty[0])
+    return None
+
+
+def iso_type_of(family) -> Tuple[str, Tuple[int, ...]]:
+    """The named isomorphism type of a finite family's semigroup, with its
+    parameters, by the paper's criteria on the family alone.
+
+    ``{∅}`` is trivial, one nonempty inductive set the extended bicyclic
+    semigroup, ``{∅, {k}}`` the matrix units ``(k,)`` and ``{∅, a+p*w}`` a
+    progression ``(a, p)``; any other family is general.
+    """
+    if is_one_ray(family):
+        return ISO_EXTENDED_BICYCLIC, ()
+    k = matrix_units_k(family)
+    if k is not None:
+        return ISO_MATRIX_UNITS, (k,)
+    nonempty = family.nonempty_members
+    if family.has_empty and len(nonempty) <= 1:
+        if not nonempty:
+            return ISO_TRIVIAL, ()
+        prog = as_arith_progression(nonempty[0])
+        if prog is not None:
+            return ISO_PROGRESSION, prog
+    return ISO_GENERAL, ()
+
 
 # the product cache is cleared when a miss finds it this full
 PROD_CACHE_LIMIT = 1 << 16
@@ -113,8 +166,8 @@ class SemigroupCtx:
     empty set belongs to it (and so a zero to the semigroup), and ``in``,
     whether a set does.  :class:`~epshift.family.Family`,
     :class:`~epshift.family.SingletonFamily` and the self-test's family of
-    every set are all it takes.  Classification, and the maps that rest on
-    its report, need a finite family: one that also offers the tuples
+    every set are all it takes.  Classification, and the maps that test the
+    isomorphism type, need a finite family: one that also offers the tuples
     ``members`` and ``nonempty_members``, as ``Family`` does.
 
     A family may also offer ``cut(f1, f2, n)``, giving the product set
@@ -134,7 +187,6 @@ class SemigroupCtx:
         self.family = family
         self._cut = getattr(family, "cut", _kernel_cut)
         self._prod_cache = {}
-        self._report = None
 
     def element(self, i: int, j: int, fset: EpSet) -> Element:
         if fset not in self.family:

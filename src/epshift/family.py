@@ -7,7 +7,8 @@ every member of ``F1`` meets only the periodic tail of ``F2``, so the cut
 only depends on ``n`` modulo the period of ``F2``, and
 ``n < max(0, threshold(F2) - min(F1)) + period(F2)`` already produces every
 possible value.  Each cut of the empty set is itself.  :func:`close` and
-validation both walk these ``n`` through :func:`_down_shifts`.
+validation both walk these ``n`` through :func:`_down_shifts`; ``close``
+folds only those that meet the generators when they have few set bits.
 
 :func:`close` runs on one common window.  Let ``T`` be the generators'
 largest threshold and ``L`` the lcm of their periods.  A down-shift keeps
@@ -48,7 +49,7 @@ from typing import Iterable, Optional, Tuple
 
 from . import kernel
 from .errors import ClosureDiverged, NotOmegaClosed, ResourceLimit
-from .omega_sets import EMPTY, EpSet, intersect, shift, sort_key
+from .omega_sets import EMPTY, EpSet, _bits, intersect, shift, sort_key
 
 DEFAULT_CLOSURE_CAP = 4096
 # the widest common window built, by close(), a cut or validation, in bits;
@@ -90,22 +91,34 @@ def _down_shifts(t, p, lo):
     return range(max(0, t - lo) + p)
 
 
+def _meeting_shifts(gw, union, k):
+    """The ``n < k`` with ``(gw >> n) & union`` nonempty: each is ``y - x``
+    for a set bit ``y`` of ``gw`` and ``x`` of ``union``."""
+    below = list(_bits(union))
+    return {y - x for y in _bits(gw) for x in below if 0 <= y - x < k}
+
+
 class Family:
     """Immutable finite omega-closed family.
 
     Construction verifies the closure property unless ``check=False``
-    (used by :func:`close`, whose output is closed by construction).
+    (used by :func:`close`, whose output is closed by construction).  The
+    tuples ``members``, ordered by :func:`sort_key`, and
+    ``nonempty_members`` and the flag ``has_empty`` are plain attributes,
+    as the maps onto the reference semigroups read them on every call.
     """
 
-    __slots__ = ("_members", "_sorted", "_nonempty", "has_empty", "_windows")
+    __slots__ = ("_members", "members", "nonempty_members", "has_empty",
+                 "_windows")
 
     def __init__(self, members: Iterable[EpSet], *, check: bool = True):
         self._members = frozenset(members)
         self._windows = None  # built by _table()
         if not self._members:
             raise ValueError("a family needs at least one member")
-        self._sorted = tuple(sorted(self._members, key=sort_key))
-        self._nonempty = tuple(f for f in self._sorted if not f.is_empty)
+        self.members = tuple(sorted(self._members, key=sort_key))
+        self.nonempty_members = tuple(f for f in self.members
+                                      if not f.is_empty)
         self.has_empty = EMPTY in self._members
         if check:
             witness = omega_closure_witness(self)
@@ -116,14 +129,10 @@ class Family:
                     "is outside the family",
                     f1=str(f1), f2=str(f2), n=n)
 
-    @property
-    def members(self) -> Tuple[EpSet, ...]:
-        return self._sorted
-
     def _table(self):
         """The members' :func:`_window_state`, built on first use."""
         if self._windows is None:
-            self._windows = _window_state(self._sorted)
+            self._windows = _window_state(self.members)
         return self._windows
 
     def cut(self, f1: EpSet, f2: EpSet, n: int) -> EpSet:
@@ -152,15 +161,11 @@ class Family:
             fs = EpSet._from_canon(*kernel.from_window(c, t, p))
         return fs
 
-    @property
-    def nonempty_members(self) -> Tuple[EpSet, ...]:
-        return self._nonempty
-
     def __contains__(self, f) -> bool:
         return f in self._members
 
     def __iter__(self):
-        return iter(self._sorted)
+        return iter(self.members)
 
     def __len__(self) -> int:
         return len(self._members)
@@ -174,7 +179,7 @@ class Family:
         return hash(self._members)
 
     def __str__(self) -> str:
-        return "family{ " + "; ".join(str(f) for f in self._sorted) + " }"
+        return "family{ " + "; ".join(str(f) for f in self.members) + " }"
 
     def __repr__(self) -> str:
         return f"Family.parse({str(self)!r})"
@@ -269,6 +274,15 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
     ``n < max(0, threshold(g) - lo) + period(g)``: each later down-shift
     adds what an earlier one of ``g`` already added.
 
+    Of these ``k`` down-shifts, one that misses the union ``U`` of the
+    generators cuts every member to the empty set.  So when ``g`` and ``U``
+    have few set bits, the fold lists the ``n`` that meet ``U`` from them,
+    as ``y - x`` for ``y`` in ``g`` and ``x`` in ``U``, folds only those and
+    adds the empty set once.  It does so when ``k > 64``, ``64 |U| < W``
+    and ``|g| |U| < k``, counting set bits on the windows; the last makes
+    sure some ``n`` is skipped.  Gate-sized generators, with ``k <= 14``,
+    keep the plain fold.
+
     Raises :class:`ResourceLimit` if ``W`` exceeds :data:`MAX_WINDOW_BITS`,
     before any window is built, and :class:`ClosureDiverged` iff the
     closure has more than ``cap`` members, rather than truncating silently.
@@ -279,10 +293,24 @@ def close(generators: Iterable[EpSet], cap: int = DEFAULT_CLOSURE_CAP) -> Family
     windows, by_window, _, t, p = _window_state(gens)
     members = set(by_window)
     lo = min((g.min() for g in gens if not g.is_empty), default=0)
+    union = 0
+    for m in members:
+        union |= m
+    union_bits = union.bit_count()
+    sparse_union = 64 * union_bits < t + p
     for g, gw in windows.items():
+        shifts = _down_shifts(g.threshold, g.period, lo)
+        k = len(shifts)
+        if k > 64 and sparse_union and gw.bit_count() * union_bits < k:
+            # fewer than k of the n meet U, and listing them costs less
+            # than folding all k; each n skipped cuts every member to the
+            # empty set
+            shifts = _meeting_shifts(gw, union, k)
+            members.add(0)
         # every generator has a down-shift, so the generators alone are
-        # checked against the cap too
-        for n in _down_shifts(g.threshold, g.period, lo):
+        # checked against the cap too; a nonempty g meets U at n = 0, so
+        # that step checks the empty set added above
+        for n in shifts:
             d = gw >> n
             members |= {m & d for m in members}
             if len(members) > cap:

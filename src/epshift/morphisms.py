@@ -8,11 +8,9 @@ structure theory says so, bijective.
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .core import (ISO_EXTENDED_BICYCLIC, ISO_MATRIX_UNITS, Element,
-                   SemigroupCtx, ZERO)
+from .core import Element, SemigroupCtx, ZERO, is_one_ray, matrix_units_k
 from .errors import NotSingletonSet, WrongIsoType, WrongProgression, ZeroInFamily
 from .family import SingletonFamily
 from .omega_sets import EpSet, as_singleton
@@ -119,29 +117,6 @@ def int_to_nat(n: int) -> int:
 
 # -- the maps ---------------------------------------------------------------
 
-# ``epshift.classify``, loaded by the first map that reads a report
-_classify_module = None
-
-
-def _classify(ctx: SemigroupCtx):
-    """:func:`epshift.classify.classify`, looked up on its module.
-
-    Only :func:`to_ext_bicyclic` and :func:`to_matrix_units` read a report,
-    so the other maps never load ``classify``.  It loads once, and a call
-    runs no ``import`` statement: a function-local ``from .classify import
-    classify`` took :func:`to_ext_bicyclic` from about 0.56 to 1.8 us per
-    call and :func:`to_matrix_units` from about 0.64 to 1.9 us (CPython
-    3.11, best of three 10^5-call runs), and the morphisms suite makes
-    10000 such calls per pass at 1000 samples.  The function is read off
-    the module on every call, so a rebinding of it there
-    (``perfbench/tracing.py`` makes one and undoes it) is seen here too.
-    """
-    global _classify_module
-    if _classify_module is None:
-        _classify_module = import_module(".classify", __package__)
-    return _classify_module.classify(ctx)
-
-
 def sigma_hom(a: Element, ctx: SemigroupCtx = None) -> int:
     """Index difference ``i - j``: the quotient map onto the additive integers.
 
@@ -157,7 +132,7 @@ def sigma_hom(a: Element, ctx: SemigroupCtx = None) -> int:
 
 def to_ext_bicyclic(ctx: SemigroupCtx, a: Element) -> ExtBicyclicElt:
     """Drop the set component; bijective when the family is one inductive set."""
-    if _classify(ctx).iso_type != ISO_EXTENDED_BICYCLIC:
+    if not is_one_ray(ctx.family):
         raise WrongIsoType("family is not a single nonempty inductive set")
     return ExtBicyclicElt(a.i, a.j)
 
@@ -169,7 +144,7 @@ def to_matrix_units(ctx: SemigroupCtx, a: Element):
     integers; compose with :func:`int_to_nat` for natural-indexed units
     (any bijection of the index set is an isomorphism of matrix units).
     """
-    if _classify(ctx).iso_type != ISO_MATRIX_UNITS:
+    if matrix_units_k(ctx.family) is None:
         raise WrongIsoType("family is not family{ {}; {k} }")
     if a.is_zero:
         return MATRIX_ZERO

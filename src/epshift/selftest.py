@@ -256,11 +256,11 @@ def brute_least_shift_subset(f1: EpSet, f2: EpSet, kmax: int) -> Optional[int]:
     width = max(f1.threshold + kmax, f2.threshold) + 2 * q + 2
     m1 = _member_mask(f1, width)
     m2 = _member_mask(f2, width)
-    full = (1 << width) - 1
+    outside = ~m2 & ((1 << width) - 1)
     for k in range(kmax + 1):
         # the window covers every threshold plus two combined periods, so
         # bits shifted past it already have equal representatives inside
-        if ((m1 << k) & ~m2 & full) == 0:
+        if ((m1 << k) & outside) == 0:
             return k
     return None
 
@@ -654,7 +654,8 @@ def suite_classification(res: SuiteResult, rng: Random, opts: SuiteOptions):
             res.check(r.zero_simple == (bool(members) and all_j),
                       "zero-simplicity disagrees with J-universality on {0}",
                       fam)
-            res.check(not r.simple, "a semigroup with zero is not simple")
+            res.check(r.simple == (not members),
+                      "with a zero, simple iff the family is {{}}")
         else:
             res.check(r.simple == all_j,
                       "simplicity disagrees with J-universality on {0}", fam)

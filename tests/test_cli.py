@@ -400,9 +400,10 @@ def bad_step(col, what):
                       "expected": [what]}}
 
 
-# Still slower than their timeout: each row holds the answer the input gives
-# when let run, so a change that mends one fails (a strict xfail) until the
-# row is promoted, and a wrong answer fails at once.
+# For inputs still slower than their timeout (no row today): each row holds
+# the answer the input gives when let run, so a change that mends one fails
+# (a strict xfail) until the row is promoted, and a wrong answer fails at
+# once.
 TOO_SLOW = pytest.mark.xfail(raises=subprocess.TimeoutExpired)
 
 # Hostile inputs, each run as a new 1 GiB child: the command, a timeout in
@@ -454,9 +455,10 @@ HOSTILE = [
         bad_step(17, "a positive progression step")),
     row("set-zero-step", "eval '(0,1;2+0*w)'", 1, 2,
         bad_step(13, "a positive step")),
-    # close() folds every down-shift of a window of about a million bits
+    # close() folds only the down-shift n = 0 of a window of about a
+    # million bits, as every other one misses the generator
     row("close-long-period", "eval '(0,0;0+1000003*w)'", 1, 0,
-        {"result": "(0,0;0+1000003*w)"}, TOO_SLOW),
+        {"result": "(0,0;0+1000003*w)"}),
     # past threshold - min(F1) a cut repeats with the period, so these take
     # one down-shift or two instead of about threshold many
     row("close-singleton", "eval '(7,5;{703601})'", 1, 0,
@@ -613,9 +615,6 @@ FOOTPRINT_COMMANDS = [
     ["eval", "(0,0;"],
 ]
 
-# maps that read no structure report
-REPORT_FREE_MAPS = ("sigma", "brandt", "reindex")
-
 
 def test_commands_load_no_dataclasses_and_maps_only_what_they_run(capsys):
     # what the interpreter loads before any epshift code runs, ``site``
@@ -629,9 +628,8 @@ def test_commands_load_no_dataclasses_and_maps_only_what_they_run(capsys):
         assert (proc.stdout.strip(), proc.returncode) == (want, code), argv
         loaded = set(proc.stderr.split()) - bare
         assert not loaded & {"dataclasses", "inspect"}, argv
-        if argv[0] == "map" and argv[1].startswith(REPORT_FREE_MAPS):
-            assert not loaded & {"epshift.classify", "epshift.partial_maps"}, \
-                argv
         if argv[0] == "map":
             assert "epshift.morphisms" in loaded and code == 0, argv
+            assert not loaded & {"epshift.classify", "epshift.partial_maps"}, \
+                argv
 

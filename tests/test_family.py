@@ -365,15 +365,36 @@ def closure_outcome(build, gens, cap):
         return type(exc), exc.details
 
 
-def test_bounded_closure_and_witness_match_the_dense_referees():
+def wide_sparse_generators(rng):
+    """One or two generators with few set bits on a window of up to about
+    2300 bits, periods 65 to 800, so that :func:`close` lists the
+    down-shifts that meet the generators' union from their set bits."""
+    period = rng.randint(65, 400)
+    return [sparse_epset(rng, rng.choice((period, 2 * period)),
+                         max_threshold=1500)
+            for _ in range(rng.randint(1, 2))]
+
+
+def test_bounded_closure_and_witness_match_the_dense_referees(monkeypatch):
     # wide, sparse generators whose least member sits above 0, so that the
     # bound on the down-shifts walked is often below threshold + period;
-    # every 25th case has periods whose lcm exceeds the window bound
+    # every 25th case has periods whose lcm exceeds the window bound; the
+    # last 150 cases are wider and sparser, so that close() folds only the
+    # down-shifts it lists ("listed"); they check the closure alone, as
+    # pairwise_witness takes about 0.1 s a candidate on their windows
     rng = random.Random(0xB0D)
+    wide = random.Random(0x5BA)
+    listed = []
+    meeting_shifts = family._meeting_shifts
+    monkeypatch.setattr(family, "_meeting_shifts",
+                        lambda *args: listed.append(args) or
+                        meeting_shifts(*args))
     seen = {"closed": 0, "diverged": 0, "too_wide": 0, "short": 0,
-            "witnessed": 0, "unwitnessed": 0}
-    for case in range(1000):
-        if case % 25 == 0:
+            "listed": 0, "witnessed": 0, "unwitnessed": 0}
+    for case in range(1150):
+        if case >= 1000:
+            gens = wide_sparse_generators(wide)
+        elif case % 25 == 0:
             gens = [EpSet.progression(rng.randint(0, 90), q)
                     for q in rng.sample((16, 17, 19, 23, 25, 29, 31), 5)]
         else:
@@ -381,7 +402,9 @@ def test_bounded_closure_and_witness_match_the_dense_referees():
                     for _ in range(rng.randint(1, 3))]
         cap = rng.choice((1, 2, 4, 8, 16, 64, 512))
         want = closure_outcome(dense_close, gens, cap)
+        listed.clear()
         assert closure_outcome(close, gens, cap) == want, (gens, cap)
+        seen["listed"] += bool(listed)
         if not isinstance(want, Family):
             seen["diverged" if want[0] is ClosureDiverged else "too_wide"] += 1
             continue
@@ -389,7 +412,7 @@ def test_bounded_closure_and_witness_match_the_dense_referees():
         lo = min((g.min() for g in gens if not g.is_empty), default=0)
         # some generator walks fewer than threshold + period down-shifts
         seen["short"] += lo > 0 and any(g.threshold for g in gens)
-        if len(want) > 8:
+        if len(want) > 8 or case >= 1000:
             continue
         # a closure with a member dropped or one added, in a shuffled order
         members = list(want.members)

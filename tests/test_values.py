@@ -27,11 +27,11 @@ FROZEN = [
 ]
 
 TRIVIAL_REPR = (
-    "StructureReport(has_zero=True, has_identity=True, simple=False, "
+    "StructureReport(has_zero=True, has_identity=True, simple=True, "
     "zero_simple=False, bisimple=True, zero_bisimple=False, e_unitary=True, "
     "iso_type='Trivial', iso_params=(), contains_extended_bicyclic=False, "
-    "d_classes=0, witnesses={'simple': ('0',), 'zero_simple': "
-    "('no nonzero elements',), 'zero_bisimple': (EpSet.parse('{}'),)})")
+    "d_classes=0, witnesses={'zero_simple': ('no nonzero elements',), "
+    "'zero_bisimple': (EpSet.parse('{}'),)})")
 
 
 @pytest.mark.parametrize("cls,args,text", FROZEN)
